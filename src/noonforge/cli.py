@@ -3,11 +3,12 @@
     noonforge unitarize --matrix M.json --out U.json
     noonforge evolve    --matrix M.json --input 0,0,1,1 [--json]
     noonforge noon      --matrix M.json --input 1,1,1,1 [--select KETS] [--json]
-    noonforge sweep     --matrix M.json --photons 4 [--modes 4] [--json]
+    noonforge sweep     --matrix M.json --photons 4 [--json]
     noonforge reproduce [--matrix M.json] [--tol R] [--json]
 
 Scattering files are projected to the nearest unitary before any evolution.
-Exit codes: 0 success, 1 reproduction-claim failure, 2 input error,
+``--tol`` scales every reproduction tolerance band; it must be finite and
+>= 0. Exit codes: 0 success, 1 reproduction-claim failure, 2 input error,
 3 numeric failure. The NOONFORGE_CAP environment variable overrides the
 basis-size cap.
 """
@@ -17,43 +18,28 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import reference, serialize
-from .errors import InputError, NoonforgeError, NumericError
-from .evolve import evolution_operator, evolve_state
+from . import serialize
+from .errors import InputError, NumericError
+from .evolve import evolve_state
 from .fock import format_occupations, parse_occupations, state_from_spec
 from .noon import extract_noon, post_select, sweep_inputs
-from .unitary import (
-    MatrixFile,
-    SymmetryPattern,
-    load_matrix,
-    save_matrix,
-    unitarity_defect,
-    unitarize,
-    validate_symmetry,
-)
+from .reference import operator_from_file, reproduction_claims
+from .unitary import MatrixFile, load_matrix, save_matrix, unitarity_defect, unitarize
 
 
-def _operator_from_file(mf: MatrixFile) -> np.ndarray:
-    """Unitarize a scattering file and orient it for evolution."""
-    return evolution_operator(unitarize(mf.to_array()))
-
-
-def _print_amplitude_rows(pairs, out):
+def _print_amplitude_rows(pairs):
     for occ, amp in pairs:
         mag = abs(amp)
         deg = math.degrees(np.angle(amp))
         if round(deg) == 0:
             deg = 0.0
-        print(f"  {mag:.4f} @ {deg:+4.0f} deg  |{format_occupations(occ)}>", file=out)
+        print(f"  {mag:.4f} @ {deg:+4.0f} deg  |{format_occupations(occ)}>")
 
 
-def cmd_unitarize(matrix_path: str, out_path: str, json_output: bool = False,
-                  out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_unitarize(matrix_path: str, out_path: str, json_output: bool = False) -> int:
     mf = load_matrix(matrix_path)
     m = mf.to_array()
     before = unitarity_defect(m)
@@ -70,38 +56,35 @@ def cmd_unitarize(matrix_path: str, out_path: str, json_output: bool = False,
             "max_entry_deviation": serialize.sci(deviation),
             "out": str(out_path),
         }
-        print(serialize.dumps(payload), end="", file=out)
+        print(serialize.dumps(payload), end="")
     else:
-        print(f"matrix: {mf.label} (dim {mf.dim})", file=out)
-        print(f"unitarity defect before: {before:.6e}", file=out)
-        print(f"unitarity defect after : {after:.6e}", file=out)
-        print(f"max per-entry deviation: {deviation:.6e}", file=out)
-        print(f"wrote {out_path}", file=out)
+        print(f"matrix: {mf.label} (dim {mf.dim})")
+        print(f"unitarity defect before: {before:.6e}")
+        print(f"unitarity defect after : {after:.6e}")
+        print(f"max per-entry deviation: {deviation:.6e}")
+        print(f"wrote {out_path}")
     return 0
 
 
-def cmd_evolve(matrix_path: str, input_spec: str, json_output: bool = False,
-               out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_evolve(matrix_path: str, input_spec: str, json_output: bool = False) -> int:
     mf = load_matrix(matrix_path)
     _, state = state_from_spec(input_spec)
-    table = evolve_state(_operator_from_file(mf), state)
+    table = evolve_state(operator_from_file(mf), state)
     if json_output:
-        print(serialize.dumps(table.to_payload()), end="", file=out)
+        print(serialize.dumps(table.to_payload()), end="")
     else:
         print(f"matrix: {mf.label}   input: {input_spec.strip()}   "
-              f"({table.modes} modes, {table.photons} photons)", file=out)
-        print("output components (descending magnitude):", file=out)
-        _print_amplitude_rows(table.sorted_components(), out)
+              f"({table.modes} modes, {table.photons} photons)")
+        print("output components (descending magnitude):")
+        _print_amplitude_rows(table.sorted_components())
     return 0
 
 
 def cmd_noon(matrix_path: str, input_spec: str, select: str | None = None,
-             json_output: bool = False, out=None) -> int:
-    out = out if out is not None else sys.stdout
+             json_output: bool = False) -> int:
     mf = load_matrix(matrix_path)
     _, state = state_from_spec(input_spec)
-    table = evolve_state(_operator_from_file(mf), state)
+    table = evolve_state(operator_from_file(mf), state)
 
     if select is not None:
         kept = [parse_occupations(part) for part in select.split(";") if part.strip()]
@@ -119,27 +102,27 @@ def cmd_noon(matrix_path: str, input_spec: str, select: str | None = None,
                     if abs(a) > 1e-12
                 ],
             }
-            print(serialize.dumps(payload), end="", file=out)
+            print(serialize.dumps(payload), end="")
         else:
-            print(f"matrix: {mf.label}   input: {input_spec.strip()}", file=out)
-            print(f"post-selected probability: {probability:.4f}", file=out)
-            print("renormalized components:", file=out)
+            print(f"matrix: {mf.label}   input: {input_spec.strip()}")
+            print(f"post-selected probability: {probability:.4f}")
+            print("renormalized components:")
             _print_amplitude_rows(
                 [(occ, a) for occ, a in zip(selected.basis.states, selected.amplitudes)
-                 if abs(a) > 1e-12], out)
+                 if abs(a) > 1e-12])
         return 0
 
     report = extract_noon(table, table.photons)
     if json_output:
         payload = {"input": input_spec.strip()}
         payload.update(report.to_payload())
-        print(serialize.dumps(payload), end="", file=out)
+        print(serialize.dumps(payload), end="")
     else:
-        print(f"matrix: {mf.label}   input: {input_spec.strip()}", file=out)
-        print(f"photons: {report.photons}   modes: {report.modes}", file=out)
-        print(f"success probability: {report.success_probability:.4f}", file=out)
-        print(f"fidelity           : {report.fidelity:.4f}", file=out)
-        print("bunched components:", file=out)
+        print(f"matrix: {mf.label}   input: {input_spec.strip()}")
+        print(f"photons: {report.photons}   modes: {report.modes}")
+        print(f"success probability: {report.success_probability:.4f}")
+        print(f"fidelity           : {report.fidelity:.4f}")
+        print("bunched components:")
         for j in range(report.modes):
             occ = [0] * report.modes
             occ[j] = report.photons
@@ -149,21 +132,17 @@ def cmd_noon(matrix_path: str, input_spec: str, select: str | None = None,
                 shifter = 0.0
             print(f"  |{format_occupations(tuple(occ))}>  mag {abs(c):.4f}  "
                   f"normalized {report.normalized_amplitudes[j]:.4f}  "
-                  f"shifter {shifter:+5.0f} deg", file=out)
+                  f"shifter {shifter:+5.0f} deg")
     return 0
 
 
-def cmd_sweep(matrix_path: str, photons: int, modes: int | None = None,
-              json_output: bool = False, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_sweep(matrix_path: str, photons: int, json_output: bool = False) -> int:
     mf = load_matrix(matrix_path)
-    if modes is None:
-        modes = mf.dim
-    rows = sweep_inputs(_operator_from_file(mf), photons, modes)
+    rows = sweep_inputs(operator_from_file(mf), photons)
     if json_output:
         payload = {
             "photons": photons,
-            "modes": modes,
+            "modes": mf.dim,
             "rows": [
                 {"input": format_occupations(occ),
                  "success_probability": serialize.fixed(r.success_probability, 4),
@@ -171,200 +150,19 @@ def cmd_sweep(matrix_path: str, photons: int, modes: int | None = None,
                 for occ, r in rows
             ],
         }
-        print(serialize.dumps(payload), end="", file=out)
+        print(serialize.dumps(payload), end="")
     else:
-        print(f"matrix: {mf.label}   {photons} photons over {modes} modes   "
-              f"({len(rows)} inputs)", file=out)
-        print(f"{'input':<16} {'success':>8} {'fidelity':>9}", file=out)
+        print(f"matrix: {mf.label}   {photons} photons over {mf.dim} modes   "
+              f"({len(rows)} inputs)")
+        print(f"{'input':<16} {'success':>8} {'fidelity':>9}")
         for occ, r in rows:
             print(f"{format_occupations(occ):<16} {r.success_probability:8.4f} "
-                  f"{r.fidelity:9.4f}", file=out)
+                  f"{r.fidelity:9.4f}")
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Reproduction of the bundled golden results.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Claim:
-    name: str
-    passed: bool
-    computed: str
-    expected: str
-
-
-def _band_claim(name: str, value: float, center: float, half_width: float) -> Claim:
-    return Claim(name, abs(value - center) <= half_width, f"{value:.4f}",
-                 f"{center:.4f} +- {half_width:.4f}")
-
-
-def _table_magnitude_claim(name: str, computed: dict, quoted: dict,
-                           tol: float) -> Claim:
-    worst = max(abs(abs(computed[occ]) - mag) for occ, (mag, _) in quoted.items())
-    return Claim(name, worst <= tol, f"worst magnitude deviation {worst:.4f}",
-                 f"<= {tol:.4f}")
-
-
-def _relative_phase_claim(name: str, computed: dict, quoted: dict,
-                          tol_deg: float, floor: float) -> Claim:
-    dominant = [occ for occ, (mag, _) in quoted.items() if mag >= floor]
-    anchor = max(dominant, key=lambda occ: quoted[occ][0])
-    offset = math.degrees(np.angle(computed[anchor])) - quoted[anchor][1]
-    worst = 0.0
-    for occ in dominant:
-        dev = math.degrees(np.angle(computed[occ])) - quoted[occ][1] - offset
-        worst = max(worst, abs((dev + 180.0) % 360.0 - 180.0))
-    return Claim(name, worst <= tol_deg,
-                 f"worst relative-phase deviation {worst:.2f} deg "
-                 f"({len(dominant)} components above magnitude {floor})",
-                 f"<= {tol_deg:.2f} deg")
-
-
-def _vector_claim(name: str, values, quoted, tol: float) -> Claim:
-    worst = max(abs(v - q) for v, q in zip(values, quoted))
-    return Claim(name, worst <= tol, f"worst deviation {worst:.4f}", f"<= {tol:.4f}")
-
-
-def _floor_claim(name: str, value: float, floor: float) -> Claim:
-    return Claim(name, value >= floor, f"{value:.5f}", f">= {floor:.4f}")
-
-
-def reproduction_claims(matrix_file: MatrixFile | None = None,
-                        tol_scale: float = 1.0) -> list[Claim]:
-    """Evaluate every golden claim for the bundled (or substituted) splitter."""
-    t = tol_scale
-    mag_tol = reference.MAGNITUDE_TOL * t
-    claims: list[Claim] = []
-
-    mf2 = matrix_file if matrix_file is not None else reference.bundled_matrix(
-        reference.SPLITTER_II)
-    mf1 = reference.bundled_matrix(reference.SPLITTER_I)
-    u = _operator_from_file(mf2)
-
-    # Two-photon output table.
-    _, pair_in = state_from_spec(format_occupations(reference.TWO_PHOTON_INPUT))
-    table2 = evolve_state(u, pair_in)
-    computed2 = {occ: table2.amplitude(occ) for occ in reference.TWO_PHOTON_OUTPUT}
-    claims.append(_table_magnitude_claim(
-        "two-photon output magnitudes", computed2, reference.TWO_PHOTON_OUTPUT,
-        mag_tol))
-    claims.append(_relative_phase_claim(
-        "two-photon output relative phases", computed2, reference.TWO_PHOTON_OUTPUT,
-        reference.RELATIVE_PHASE_TOL_DEG * t, reference.DOMINANT_MAGNITUDE))
-
-    # Two-photon bunched extraction.
-    lo, hi = reference.TWO_PHOTON_SUCCESS_RANGE
-    try:
-        report2 = extract_noon(table2, 2)
-        claims.append(_band_claim("two-photon bunched success probability",
-                                  report2.success_probability,
-                                  (lo + hi) / 2, (hi - lo) / 2 * t))
-        claims.append(_floor_claim("two-photon bunched fidelity", report2.fidelity,
-                                   1 - (1 - reference.TWO_PHOTON_FIDELITY_MIN) * t))
-        claims.append(_vector_claim("two-photon normalized magnitudes",
-                                    report2.normalized_amplitudes,
-                                    reference.TWO_PHOTON_NOON_NORMALIZED, mag_tol))
-    except NoonforgeError as exc:
-        claims.append(Claim("two-photon bunched extraction", False,
-                            f"error: {exc}", f"success in [{lo}, {hi}]"))
-
-    # Same-side photon-pair branch.
-    lo, hi = reference.ENTANGLED_PROBABILITY_RANGE
-    try:
-        selected, probability = post_select(table2, reference.ENTANGLED_SELECTION)
-        mags = [abs(selected.amplitude(occ)) for occ in reference.ENTANGLED_SELECTION]
-        claims.append(_band_claim("same-side pair branch probability", probability,
-                                  (lo + hi) / 2, (hi - lo) / 2 * t))
-        claims.append(_vector_claim("same-side pair magnitudes", mags,
-                                    reference.ENTANGLED_MAGNITUDES, mag_tol))
-    except NoonforgeError as exc:
-        claims.append(Claim("same-side pair branch", False, f"error: {exc}",
-                            f"probability in [{lo}, {hi}]"))
-
-    # Three-photon preparation.
-    _, triple_in = state_from_spec(format_occupations(reference.THREE_PHOTON_INPUT))
-    table3 = evolve_state(u, triple_in)
-    computed3 = {occ: table3.amplitude(occ) for occ in reference.THREE_PHOTON_NOON}
-    claims.append(_table_magnitude_claim(
-        "three-photon bunched magnitudes", computed3, reference.THREE_PHOTON_NOON,
-        mag_tol))
-    try:
-        report3 = extract_noon(table3, 3)
-        claims.append(_band_claim("three-photon success probability",
-                                  report3.success_probability,
-                                  reference.THREE_PHOTON_SUCCESS,
-                                  reference.THREE_PHOTON_SUCCESS_TOL * t))
-        claims.append(_band_claim("three-photon fidelity", report3.fidelity,
-                                  reference.THREE_PHOTON_FIDELITY,
-                                  reference.THREE_PHOTON_FIDELITY_TOL * t))
-        claims.append(_vector_claim("three-photon normalized magnitudes",
-                                    report3.normalized_amplitudes,
-                                    reference.THREE_PHOTON_NOON_NORMALIZED, mag_tol))
-    except NoonforgeError as exc:
-        claims.append(Claim("three-photon bunched extraction", False,
-                            f"error: {exc}", "success 0.348 +- 0.02"))
-
-    # Four-photon preparation.
-    _, quad_in = state_from_spec(format_occupations(reference.FOUR_PHOTON_INPUT))
-    table4 = evolve_state(u, quad_in)
-    computed4 = {occ: table4.amplitude(occ) for occ in reference.FOUR_PHOTON_NOON}
-    claims.append(_table_magnitude_claim(
-        "four-photon bunched magnitudes", computed4, reference.FOUR_PHOTON_NOON,
-        mag_tol))
-    try:
-        report4 = extract_noon(table4, 4)
-        bands = " or ".join(f"{c} +- {w * t:.4f}"
-                            for c, w in reference.FOUR_PHOTON_SUCCESS_BANDS)
-        ok = any(abs(report4.success_probability - center) <= width * t
-                 for center, width in reference.FOUR_PHOTON_SUCCESS_BANDS)
-        claims.append(Claim("four-photon success probability", ok,
-                            f"{report4.success_probability:.4f}", bands))
-        claims.append(_floor_claim("four-photon fidelity", report4.fidelity,
-                                   1 - (1 - reference.FOUR_PHOTON_FIDELITY_MIN) * t))
-        claims.append(_vector_claim("four-photon normalized magnitudes",
-                                    report4.normalized_amplitudes,
-                                    reference.FOUR_PHOTON_NOON_NORMALIZED, mag_tol))
-    except NoonforgeError as exc:
-        claims.append(Claim("four-photon bunched extraction", False,
-                            f"error: {exc}", "success 0.337 or 0.348 band"))
-
-    # Input-distribution ranking.
-    try:
-        rows = dict((occ, r.success_probability) for occ, r in sweep_inputs(u, 4, 4))
-        spread, conc = rows[(1, 1, 1, 1)], rows[(4, 0, 0, 0)]
-        claims.append(Claim(
-            "spread input outranks concentrated input", spread > conc,
-            f"success {spread:.4f} (spread) vs {conc:.4f} (concentrated)",
-            "spread strictly higher"))
-    except NoonforgeError as exc:
-        claims.append(Claim("spread input outranks concentrated input", False,
-                            f"error: {exc}", "spread strictly higher"))
-
-    # Symmetry structure of the scattering data itself.
-    violations = validate_symmetry(
-        mf1.to_array(), SymmetryPattern.subspace_i(),
-        reference.SYMMETRY_TOL_MAG * t, reference.SYMMETRY_TOL_PHASE_DEG * t)
-    claims.append(Claim(
-        "splitter-I symmetry pattern",
-        len(violations) <= reference.SYMMETRY_MAX_VIOLATIONS,
-        f"{len(violations)} violations",
-        f"<= {reference.SYMMETRY_MAX_VIOLATIONS} at tolerance "
-        f"({reference.SYMMETRY_TOL_MAG * t}, {reference.SYMMETRY_TOL_PHASE_DEG * t} deg)"))
-    col_violations = validate_symmetry(
-        mf2.to_array(), SymmetryPattern.subspace_ii(),
-        reference.COLUMN_NORM_TOL * t, 0.0)
-    claims.append(Claim(
-        "splitter-II column norms", not col_violations,
-        f"{len(col_violations)} columns out of band",
-        f"all within {reference.COLUMN_NORM_TOL * t} of 1"))
-
-    return claims
-
-
 def cmd_reproduce(matrix_path: str | None = None, tol: float = 1.0,
-                  json_output: bool = False, out=None) -> int:
-    out = out if out is not None else sys.stdout
+                  json_output: bool = False) -> int:
     override = load_matrix(matrix_path) if matrix_path is not None else None
     claims = reproduction_claims(override, tol_scale=tol)
     passed = sum(c.passed for c in claims)
@@ -377,15 +175,25 @@ def cmd_reproduce(matrix_path: str | None = None, tol: float = 1.0,
                 for c in claims
             ],
         }
-        print(serialize.dumps(payload), end="", file=out)
+        print(serialize.dumps(payload), end="")
     else:
         print("reproduction of the bundled splitter results "
-              f"(tolerance scale {tol:g})", file=out)
+              f"(tolerance scale {tol:g})")
         for c in claims:
             tag = "PASS" if c.passed else "FAIL"
-            print(f"[{tag}] {c.name}: {c.computed} (expected {c.expected})", file=out)
-        print(f"{passed}/{len(claims)} claims passed", file=out)
+            print(f"[{tag}] {c.name}: {c.computed} (expected {c.expected})")
+        print(f"{passed}/{len(claims)} claims passed")
     return 0 if passed == len(claims) else 1
+
+
+def _tolerance_scale(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,15 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
                        "success probability")
     p.add_argument("--matrix", required=True)
     p.add_argument("--photons", required=True, type=int)
-    p.add_argument("--modes", type=int, help="port count (default: matrix dim)")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("reproduce", help="check every golden claim for the "
                        "bundled splitters")
     p.add_argument("--matrix", help="substitute this file for the bundled "
                    "subspace-II splitter")
-    p.add_argument("--tol", type=float, default=1.0,
-                   help="scale factor applied to every tolerance band")
+    p.add_argument("--tol", type=_tolerance_scale, default=1.0,
+                   help="scale factor applied to every tolerance band "
+                   "(finite, >= 0)")
     p.add_argument("--json", action="store_true")
 
     return parser
@@ -441,7 +249,7 @@ def main(argv=None) -> int:
         if args.command == "noon":
             return cmd_noon(args.matrix, args.input, args.select, args.json)
         if args.command == "sweep":
-            return cmd_sweep(args.matrix, args.photons, args.modes, args.json)
+            return cmd_sweep(args.matrix, args.photons, args.json)
         if args.command == "reproduce":
             return cmd_reproduce(args.matrix, args.tol, args.json)
         raise AssertionError(f"unhandled command {args.command}")

@@ -13,32 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .errors import (
-    CapacityError,
-    InputError,
-    NotHermitianError,
-    NotUnitaryError,
-    ShapeError,
-)
+from .errors import CapacityError, InputError, ShapeError
 from .fock import FockBasis, FockState, QuantumState, format_occupations, state_to_spec
-from .unitary import HERMITIAN_TOL, UNITARY_TOL, matrix_exp, max_unitarity_defect
+from .unitary import matrix_exp, require_hermitian, require_square, require_unitary
 
 PERMANENT_CAP = 16
 
 
-def permanent(matrix, cap: int = PERMANENT_CAP) -> complex:
+def permanent(matrix) -> complex:
     """Matrix permanent by Ryser's inclusion-exclusion with Gray-code subsets.
 
     O(2^n * n): comfortable for the desk-scale photon numbers this package
     targets. The subset accumulation is compensated (Kahan) to hold the
     1e-10 agreement with the brute-force permutation sum.
     """
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"permanent needs a square matrix, got shape {a.shape}")
+    a = require_square(matrix)
     n = a.shape[0]
-    if n > cap:
-        raise CapacityError(f"permanent of a {n}x{n} matrix exceeds the cap of {cap}")
+    if n > PERMANENT_CAP:
+        raise CapacityError(
+            f"permanent of a {n}x{n} matrix exceeds the cap of {PERMANENT_CAP}")
     if n == 0:
         return 1 + 0j
 
@@ -77,8 +70,7 @@ def _occupation_vector(occ, modes: int, role: str) -> tuple[int, ...]:
     return occ
 
 
-def transition_amplitude(matrix, state_in: FockState, state_out: FockState,
-                         cap: int = PERMANENT_CAP) -> complex:
+def transition_amplitude(matrix, state_in: FockState, state_out: FockState) -> complex:
     """<out|S|in> for a single-photon map U: per(U[out, in]) / sqrt(prod n_i! m_j!).
 
     U[out, in] repeats row j out_j times (outer) and column i in_i times
@@ -86,9 +78,7 @@ def transition_amplitude(matrix, state_in: FockState, state_out: FockState,
     linear passive network, so mismatched photon numbers are rejected
     rather than silently zeroed.
     """
-    u = np.asarray(matrix, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {u.shape}")
+    u = require_square(matrix)
     occ_in = _occupation_vector(state_in, u.shape[0], "input")
     occ_out = _occupation_vector(state_out, u.shape[0], "output")
     n = sum(occ_in)
@@ -102,7 +92,7 @@ def transition_amplitude(matrix, state_in: FockState, state_out: FockState,
     sub = u[np.ix_(rows, cols)]
     norm = math.prod(math.factorial(k) for k in occ_in) * \
         math.prod(math.factorial(k) for k in occ_out)
-    return permanent(sub, cap=cap) / math.sqrt(norm)
+    return permanent(sub) / math.sqrt(norm)
 
 
 def evolution_operator(scattering) -> np.ndarray:
@@ -113,10 +103,7 @@ def evolution_operator(scattering) -> np.ndarray:
     input port i in row i. The permanent machinery above expects it in
     column i, so the evolution operator is the transpose.
     """
-    m = np.asarray(scattering, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    return m.T.copy()
+    return require_square(scattering).T.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,22 +169,13 @@ class TransitionTable:
         }
 
 
-def _require_unitary(u: np.ndarray) -> None:
-    defect = max_unitarity_defect(u)
-    if defect > UNITARY_TOL:
-        raise NotUnitaryError(
-            f"evolution needs an exactly unitary matrix (defect {defect:.3e}); "
-            "call unitarize() first")
-
-
-def evolve_state(matrix, state: QuantumState, cap: int = PERMANENT_CAP) -> TransitionTable:
+def evolve_state(matrix, state: QuantumState) -> TransitionTable:
     """Evolve a normalized state through a unitary multiport.
 
     Amplitudes for every basis state are assembled by linearity over the
     input components; unitarity conserves the norm.
     """
-    u = np.asarray(matrix, dtype=complex)
-    _require_unitary(u)
+    u = require_unitary(matrix)
     if state.basis.modes != u.shape[0]:
         raise ShapeError(
             f"state has {state.basis.modes} modes, matrix has {u.shape[0]} ports")
@@ -210,7 +188,7 @@ def evolve_state(matrix, state: QuantumState, cap: int = PERMANENT_CAP) -> Trans
         if coeff == 0:
             continue
         for idx, occ_out in enumerate(basis.states):
-            amplitudes[idx] += coeff * transition_amplitude(u, occ_in, occ_out, cap=cap)
+            amplitudes[idx] += coeff * transition_amplitude(u, occ_in, occ_out)
     return TransitionTable(state, basis, amplitudes)
 
 
@@ -220,9 +198,7 @@ def fock_hamiltonian(coupling, basis: FockBasis) -> np.ndarray:
     Matrix elements of sum_mn A[m,n] adag_m a_n, using adag|k> = sqrt(k+1)|k+1>
     and a|k> = sqrt(k)|k-1>. Hermitian whenever A is.
     """
-    a = np.asarray(coupling, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square coupling matrix, got shape {a.shape}")
+    a = require_square(coupling)
     if a.shape[0] != basis.modes:
         raise ShapeError(
             f"coupling matrix has {a.shape[0]} modes, basis has {basis.modes}")
@@ -251,11 +227,6 @@ def evolve_state_hamiltonian(coupling, state: QuantumState) -> TransitionTable:
     Independent of the permanent path; the two must agree to 1e-8 per
     amplitude for any Hermitian coupling matrix.
     """
-    a = np.asarray(coupling, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square coupling matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.conj().T)) > HERMITIAN_TOL:
-        raise NotHermitianError("coupling matrix must be Hermitian")
-    h = fock_hamiltonian(a, state.basis)
+    h = fock_hamiltonian(require_hermitian(coupling), state.basis)
     amplitudes = matrix_exp(h) @ state.amplitudes
     return TransitionTable(state, state.basis, amplitudes)

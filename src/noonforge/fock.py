@@ -58,13 +58,13 @@ class FockBasis:
     so the bunched states |n,0,...,0>, ... appear at predictable positions.
     """
 
-    def __init__(self, modes: int, photons: int, cap: int | None = None):
+    def __init__(self, modes: int, photons: int):
         if modes < 1:
             raise InputError(f"mode count must be at least 1, got {modes}")
         if photons < 0:
             raise InputError(f"photon number must be non-negative, got {photons}")
         size = basis_size(modes, photons)
-        limit = state_cap() if cap is None else cap
+        limit = state_cap()
         if size > limit:
             raise CapacityError(
                 f"basis of {size} states for {photons} photons over {modes} modes "
@@ -99,9 +99,9 @@ class FockBasis:
         return f"FockBasis(modes={self.modes}, photons={self.photons}, size={len(self)})"
 
 
-def enumerate_basis(modes: int, photons: int, cap: int | None = None) -> FockBasis:
+def enumerate_basis(modes: int, photons: int) -> FockBasis:
     """Enumerate the complete n-photon, m-mode occupation basis."""
-    return FockBasis(modes, photons, cap=cap)
+    return FockBasis(modes, photons)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .errors import NotUnitaryError, ShapeError, SpecError, ZeroProbabilityError
-from .evolve import PERMANENT_CAP, TransitionTable, transition_amplitude
+from .errors import ShapeError, SpecError, ZeroProbabilityError
+from .evolve import TransitionTable, transition_amplitude
 from .fock import FockBasis, FockState, QuantumState, enumerate_basis, format_occupations
-from .unitary import UNITARY_TOL, max_unitarity_defect
+from .unitary import require_unitary
 
 ZERO_WEIGHT = 1e-24
 
@@ -140,18 +140,13 @@ def apply_phase_shifts(obj, phases_deg):
 
     Accepts a QuantumState or a TransitionTable and returns the same kind.
     """
-    if isinstance(obj, TransitionTable):
-        basis, amps = obj.basis, obj.amplitudes
-    elif isinstance(obj, QuantumState):
-        basis, amps = obj.basis, obj.amplitudes
-    else:
+    if not isinstance(obj, (TransitionTable, QuantumState)):
         raise TypeError(f"cannot phase-shift {type(obj).__name__}")
+    basis = obj.basis
     phases = np.asarray(phases_deg, dtype=float)
     if phases.shape != (basis.modes,):
         raise ShapeError(f"need one phase per port, got shape {phases.shape}")
-    factors = np.array([
-        np.exp(1j * math.radians(float(np.dot(occ, phases)))) for occ in basis.states])
-    shifted = amps * factors
+    shifted = obj.amplitudes * np.exp(1j * np.radians(np.array(basis.states) @ phases))
     if isinstance(obj, TransitionTable):
         return TransitionTable(obj.input, basis, shifted)
     return QuantumState(basis, shifted)
@@ -162,9 +157,8 @@ def _zero_report(photons: int, modes: int) -> NoonReport:
     return NoonReport(photons, modes, (0j,) * modes, 0.0, zeros, zeros, 0.0)
 
 
-def sweep_inputs(matrix, total_photons: int, modes: int,
-                 cap: int = PERMANENT_CAP) -> list[tuple[FockState, NoonReport]]:
-    """Rank every n-photon input by its NOON success probability.
+def sweep_inputs(matrix, total_photons: int) -> list[tuple[FockState, NoonReport]]:
+    """Rank every n-photon input over the matrix's ports by NOON success probability.
 
     Only the K bunched output amplitudes enter a NoonReport, so each input is
     scored from those directly; the reports are identical to running
@@ -172,23 +166,15 @@ def sweep_inputs(matrix, total_photons: int, modes: int,
     zero-success placeholder (fidelity 0) and rank last. Ties break on the
     lexicographic order of the input occupations.
     """
-    u = np.asarray(matrix, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {u.shape}")
-    if u.shape[0] != modes:
-        raise ShapeError(f"matrix has {u.shape[0]} ports, sweep asked for {modes}")
     if total_photons < 1:
         raise ShapeError("sweep needs at least one photon")
-    defect = max_unitarity_defect(u)
-    if defect > UNITARY_TOL:
-        raise NotUnitaryError(
-            f"sweep needs an exactly unitary matrix (defect {defect:.3e})")
-
+    u = require_unitary(matrix)
+    modes = u.shape[0]
     basis = enumerate_basis(modes, total_photons)
     targets = noon_components(basis)
     rows = []
     for occ in basis.states:
-        raw = np.array([transition_amplitude(u, occ, t, cap=cap) for t in targets])
+        raw = np.array([transition_amplitude(u, occ, t) for t in targets])
         try:
             report = _report_from_amplitudes(raw, total_photons, modes)
         except ZeroProbabilityError:

@@ -1,18 +1,27 @@
-"""Bundled splitter matrices and their golden reference outputs.
+"""Bundled splitter matrices, their golden reference outputs, and the claims.
 
 The two four-port splitter matrices ship as data files transcribed
 digit-for-digit from their source; the tables below hold the multiphoton
 outputs quoted for them, against which the reproduce command and the
-acceptance suite check this implementation. Quoted magnitudes carry the
+acceptance suite check this implementation. ``reproduction_claims``
+evaluates every table as a pass/fail claim. Quoted magnitudes carry the
 source's 3-decimal rounding and phases its whole-degree rounding.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
+from .errors import NoonforgeError
+from .evolve import evolution_operator, evolve_state
+from .fock import format_occupations, state_from_spec
 from .modes import Subspace, load_subspace
-from .unitary import MatrixFile, load_matrix
+from .noon import extract_noon, post_select, sweep_inputs
+from .unitary import MatrixFile, SymmetryPattern, load_matrix, unitarize, validate_symmetry
 
 SPLITTER_I = "splitter_i"
 SPLITTER_II = "splitter_ii"
@@ -118,3 +127,187 @@ SYMMETRY_TOL_MAG = 0.02
 SYMMETRY_TOL_PHASE_DEG = 2.0
 SYMMETRY_MAX_VIOLATIONS = 2
 COLUMN_NORM_TOL = 0.1
+
+
+# ---------------------------------------------------------------------------
+# Reproduction claims: the golden tables above checked against this package.
+# ---------------------------------------------------------------------------
+
+def operator_from_file(mf: MatrixFile) -> np.ndarray:
+    """Unitarize a scattering file and orient it for evolution."""
+    return evolution_operator(unitarize(mf.to_array()))
+
+
+@dataclass(frozen=True)
+class Claim:
+    name: str
+    passed: bool
+    computed: str
+    expected: str
+
+
+def _band_claim(name: str, value: float, center: float, half_width: float) -> Claim:
+    return Claim(name, abs(value - center) <= half_width, f"{value:.4f}",
+                 f"{center:.4f} +- {half_width:.4f}")
+
+
+def _table_magnitude_claim(name: str, computed: dict, quoted: dict,
+                           tol: float) -> Claim:
+    worst = max(abs(abs(computed[occ]) - mag) for occ, (mag, _) in quoted.items())
+    return Claim(name, worst <= tol, f"worst magnitude deviation {worst:.4f}",
+                 f"<= {tol:.4f}")
+
+
+def _relative_phase_claim(name: str, computed: dict, quoted: dict,
+                          tol_deg: float, floor: float) -> Claim:
+    dominant = [occ for occ, (mag, _) in quoted.items() if mag >= floor]
+    anchor = max(dominant, key=lambda occ: quoted[occ][0])
+    offset = math.degrees(np.angle(computed[anchor])) - quoted[anchor][1]
+    worst = 0.0
+    for occ in dominant:
+        dev = math.degrees(np.angle(computed[occ])) - quoted[occ][1] - offset
+        worst = max(worst, abs((dev + 180.0) % 360.0 - 180.0))
+    return Claim(name, worst <= tol_deg,
+                 f"worst relative-phase deviation {worst:.2f} deg "
+                 f"({len(dominant)} components above magnitude {floor})",
+                 f"<= {tol_deg:.2f} deg")
+
+
+def _vector_claim(name: str, values, quoted, tol: float) -> Claim:
+    worst = max(abs(v - q) for v, q in zip(values, quoted))
+    return Claim(name, worst <= tol, f"worst deviation {worst:.4f}", f"<= {tol:.4f}")
+
+
+def _floor_claim(name: str, value: float, floor: float) -> Claim:
+    return Claim(name, value >= floor, f"{value:.5f}", f">= {floor:.4f}")
+
+
+def reproduction_claims(matrix_file: MatrixFile | None = None,
+                        tol_scale: float = 1.0) -> list[Claim]:
+    """Evaluate every golden claim for the bundled (or substituted) splitter."""
+    t = tol_scale
+    mag_tol = MAGNITUDE_TOL * t
+    claims: list[Claim] = []
+
+    mf2 = matrix_file if matrix_file is not None else bundled_matrix(SPLITTER_II)
+    mf1 = bundled_matrix(SPLITTER_I)
+    u = operator_from_file(mf2)
+
+    # Two-photon output table.
+    _, pair_in = state_from_spec(format_occupations(TWO_PHOTON_INPUT))
+    table2 = evolve_state(u, pair_in)
+    computed2 = {occ: table2.amplitude(occ) for occ in TWO_PHOTON_OUTPUT}
+    claims.append(_table_magnitude_claim(
+        "two-photon output magnitudes", computed2, TWO_PHOTON_OUTPUT,
+        mag_tol))
+    claims.append(_relative_phase_claim(
+        "two-photon output relative phases", computed2, TWO_PHOTON_OUTPUT,
+        RELATIVE_PHASE_TOL_DEG * t, DOMINANT_MAGNITUDE))
+
+    # Two-photon bunched extraction.
+    lo, hi = TWO_PHOTON_SUCCESS_RANGE
+    try:
+        report2 = extract_noon(table2, 2)
+        claims.append(_band_claim("two-photon bunched success probability",
+                                  report2.success_probability,
+                                  (lo + hi) / 2, (hi - lo) / 2 * t))
+        claims.append(_floor_claim("two-photon bunched fidelity", report2.fidelity,
+                                   1 - (1 - TWO_PHOTON_FIDELITY_MIN) * t))
+        claims.append(_vector_claim("two-photon normalized magnitudes",
+                                    report2.normalized_amplitudes,
+                                    TWO_PHOTON_NOON_NORMALIZED, mag_tol))
+    except NoonforgeError as exc:
+        claims.append(Claim("two-photon bunched extraction", False,
+                            f"error: {exc}", f"success in [{lo}, {hi}]"))
+
+    # Same-side photon-pair branch.
+    lo, hi = ENTANGLED_PROBABILITY_RANGE
+    try:
+        selected, probability = post_select(table2, ENTANGLED_SELECTION)
+        mags = [abs(selected.amplitude(occ)) for occ in ENTANGLED_SELECTION]
+        claims.append(_band_claim("same-side pair branch probability", probability,
+                                  (lo + hi) / 2, (hi - lo) / 2 * t))
+        claims.append(_vector_claim("same-side pair magnitudes", mags,
+                                    ENTANGLED_MAGNITUDES, mag_tol))
+    except NoonforgeError as exc:
+        claims.append(Claim("same-side pair branch", False, f"error: {exc}",
+                            f"probability in [{lo}, {hi}]"))
+
+    # Three-photon preparation.
+    _, triple_in = state_from_spec(format_occupations(THREE_PHOTON_INPUT))
+    table3 = evolve_state(u, triple_in)
+    computed3 = {occ: table3.amplitude(occ) for occ in THREE_PHOTON_NOON}
+    claims.append(_table_magnitude_claim(
+        "three-photon bunched magnitudes", computed3, THREE_PHOTON_NOON,
+        mag_tol))
+    try:
+        report3 = extract_noon(table3, 3)
+        claims.append(_band_claim("three-photon success probability",
+                                  report3.success_probability,
+                                  THREE_PHOTON_SUCCESS,
+                                  THREE_PHOTON_SUCCESS_TOL * t))
+        claims.append(_band_claim("three-photon fidelity", report3.fidelity,
+                                  THREE_PHOTON_FIDELITY,
+                                  THREE_PHOTON_FIDELITY_TOL * t))
+        claims.append(_vector_claim("three-photon normalized magnitudes",
+                                    report3.normalized_amplitudes,
+                                    THREE_PHOTON_NOON_NORMALIZED, mag_tol))
+    except NoonforgeError as exc:
+        claims.append(Claim("three-photon bunched extraction", False,
+                            f"error: {exc}", "success 0.348 +- 0.02"))
+
+    # Four-photon preparation.
+    _, quad_in = state_from_spec(format_occupations(FOUR_PHOTON_INPUT))
+    table4 = evolve_state(u, quad_in)
+    computed4 = {occ: table4.amplitude(occ) for occ in FOUR_PHOTON_NOON}
+    claims.append(_table_magnitude_claim(
+        "four-photon bunched magnitudes", computed4, FOUR_PHOTON_NOON,
+        mag_tol))
+    try:
+        report4 = extract_noon(table4, 4)
+        bands = " or ".join(f"{c} +- {w * t:.4f}"
+                            for c, w in FOUR_PHOTON_SUCCESS_BANDS)
+        ok = any(abs(report4.success_probability - center) <= width * t
+                 for center, width in FOUR_PHOTON_SUCCESS_BANDS)
+        claims.append(Claim("four-photon success probability", ok,
+                            f"{report4.success_probability:.4f}", bands))
+        claims.append(_floor_claim("four-photon fidelity", report4.fidelity,
+                                   1 - (1 - FOUR_PHOTON_FIDELITY_MIN) * t))
+        claims.append(_vector_claim("four-photon normalized magnitudes",
+                                    report4.normalized_amplitudes,
+                                    FOUR_PHOTON_NOON_NORMALIZED, mag_tol))
+    except NoonforgeError as exc:
+        claims.append(Claim("four-photon bunched extraction", False,
+                            f"error: {exc}", "success 0.337 or 0.348 band"))
+
+    # Input-distribution ranking.
+    try:
+        rows = dict((occ, r.success_probability) for occ, r in sweep_inputs(u, 4))
+        spread, conc = rows[(1, 1, 1, 1)], rows[(4, 0, 0, 0)]
+        claims.append(Claim(
+            "spread input outranks concentrated input", spread > conc,
+            f"success {spread:.4f} (spread) vs {conc:.4f} (concentrated)",
+            "spread strictly higher"))
+    except NoonforgeError as exc:
+        claims.append(Claim("spread input outranks concentrated input", False,
+                            f"error: {exc}", "spread strictly higher"))
+
+    # Symmetry structure of the scattering data itself.
+    violations = validate_symmetry(
+        mf1.to_array(), SymmetryPattern.subspace_i(),
+        SYMMETRY_TOL_MAG * t, SYMMETRY_TOL_PHASE_DEG * t)
+    claims.append(Claim(
+        "splitter-I symmetry pattern",
+        len(violations) <= SYMMETRY_MAX_VIOLATIONS,
+        f"{len(violations)} violations",
+        f"<= {SYMMETRY_MAX_VIOLATIONS} at tolerance "
+        f"({SYMMETRY_TOL_MAG * t}, {SYMMETRY_TOL_PHASE_DEG * t} deg)"))
+    col_violations = validate_symmetry(
+        mf2.to_array(), SymmetryPattern.subspace_ii(),
+        COLUMN_NORM_TOL * t, 0.0)
+    claims.append(Claim(
+        "splitter-II column norms", not col_violations,
+        f"{len(col_violations)} columns out of band",
+        f"all within {COLUMN_NORM_TOL * t} of 1"))
+
+    return claims

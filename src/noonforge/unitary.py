@@ -21,6 +21,7 @@ import scipy.linalg
 from . import serialize
 from .errors import (
     BranchCutError,
+    InputError,
     MatrixFileError,
     NotHermitianError,
     NotUnitaryError,
@@ -87,10 +88,19 @@ def from_polar(entries) -> np.ndarray:
     return matrix
 
 
-def _square(matrix) -> np.ndarray:
+def require_square(matrix) -> np.ndarray:
+    """`matrix` as a complex array; ShapeError unless it is square.
+
+    Only the shape is checked, so the per-amplitude calls can afford it.
+    """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _finite_square(matrix) -> np.ndarray:
+    m = require_square(matrix)
     if not np.all(np.isfinite(m.view(float))):
         raise ShapeError("matrix entries must be finite")
     return m
@@ -98,18 +108,35 @@ def _square(matrix) -> np.ndarray:
 
 def unitarity_defect(matrix) -> float:
     """Frobenius norm of M^H M - I; zero iff M is exactly unitary."""
-    m = _square(matrix)
+    m = _finite_square(matrix)
     return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
 
 
 def max_unitarity_defect(matrix) -> float:
     """Max-entry norm of M^H M - I (the per-entry unitarity tolerance)."""
-    m = _square(matrix)
+    m = _finite_square(matrix)
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
-def is_unitary(matrix, tol: float = UNITARY_TOL) -> bool:
-    return max_unitarity_defect(matrix) <= tol
+def require_unitary(matrix) -> np.ndarray:
+    """`matrix` as a complex array; NotUnitaryError unless it is unitary.
+
+    The tolerance is per entry: max |M^H M - I| <= UNITARY_TOL.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    defect = max_unitarity_defect(m)
+    if defect > UNITARY_TOL:
+        raise NotUnitaryError(
+            f"matrix is not unitary (defect {defect:.3e}); call unitarize() first")
+    return m
+
+
+def require_hermitian(matrix) -> np.ndarray:
+    """`matrix` as a complex array; NotHermitianError unless A = A^H."""
+    a = _finite_square(matrix)
+    if np.max(np.abs(a - a.conj().T)) > HERMITIAN_TOL:
+        raise NotHermitianError("matrix must be Hermitian")
+    return a
 
 
 def unitarize(matrix) -> np.ndarray:
@@ -119,7 +146,7 @@ def unitarize(matrix) -> np.ndarray:
     unitary, and it keeps per-entry deviations small enough that amplitudes
     computed from rounded scattering data stay reproducible.
     """
-    m = _square(matrix)
+    m = _finite_square(matrix)
     w, s, vh = np.linalg.svd(m)
     if s[0] == 0.0 or s[-1] < 1e-12 * s[0]:
         raise SingularMatrixError("matrix is singular; no unitary polar factor")
@@ -185,9 +212,12 @@ def validate_symmetry(matrix, pattern: SymmetryPattern, tol_mag: float,
     Equality-pair patterns report one violation per pair whose entries differ
     by more than `tol_mag` in magnitude or `tol_phase_deg` in phase. The
     independent-process pattern instead checks each column norm against 1
-    within `tol_mag`.
+    within `tol_mag`. Both tolerances must be finite and non-negative.
     """
-    m = _square(matrix)
+    for name, tol in (("tol_mag", tol_mag), ("tol_phase_deg", tol_phase_deg)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise InputError(f"{name} must be finite and non-negative, got {tol}")
+    m = _finite_square(matrix)
     if m.shape[0] != 4:
         raise ShapeError(f"symmetry patterns are defined for 4x4 matrices, got {m.shape}")
     for (r1, c1), (r2, c2) in pattern.equality_pairs:
@@ -224,11 +254,7 @@ def effective_hamiltonian(matrix) -> np.ndarray:
     the evolution operator. Refuses inputs with an eigenvalue at -1, where the
     principal branch is ambiguous.
     """
-    u = _square(matrix)
-    if unitarity_defect(u) > UNITARY_TOL:
-        raise NotUnitaryError(
-            f"matrix is not unitary (defect {unitarity_defect(u):.3e}); "
-            "call unitarize() first")
+    u = require_unitary(matrix)
     # Schur of a unitary matrix is a diagonalization with an exactly unitary
     # eigenbasis, so the reconstructed generator is Hermitian to rounding.
     t, q = scipy.linalg.schur(u, output="complex")
@@ -243,9 +269,7 @@ def effective_hamiltonian(matrix) -> np.ndarray:
 
 def matrix_exp(hamiltonian) -> np.ndarray:
     """exp(-iA) for Hermitian A, via eigendecomposition."""
-    a = _square(hamiltonian)
-    if np.max(np.abs(a - a.conj().T)) > HERMITIAN_TOL:
-        raise NotHermitianError("generator must be Hermitian")
+    a = require_hermitian(hamiltonian)
     w, v = np.linalg.eigh(a)
     return v @ np.diag(np.exp(-1j * w)) @ v.conj().T
 
@@ -276,7 +300,7 @@ class MatrixFile:
 
     @classmethod
     def from_array(cls, matrix, label: str, meta: dict | None = None) -> "MatrixFile":
-        m = _square(matrix)
+        m = _finite_square(matrix)
         entries = tuple(
             PolarEntry(Decimal(repr(float(abs(v)))),
                        Decimal(repr(float(np.angle(v, deg=True)))))

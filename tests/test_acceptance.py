@@ -150,7 +150,7 @@ def test_criterion_5_four_photon_noon(operator_ii):
 
 
 def test_criterion_6_spread_inputs_outrank_concentrated(operator_ii):
-    rows = dict(sweep_inputs(operator_ii, 4, 4))
+    rows = dict(sweep_inputs(operator_ii, 4))
     spread = rows[(1, 1, 1, 1)].success_probability
     concentrated = rows[(4, 0, 0, 0)].success_probability
     assert spread > concentrated

@@ -177,12 +177,6 @@ def test_sweep_eight_photons_row_count(run):
     assert len(serialize.loads(output)["rows"]) == 165
 
 
-def test_sweep_mode_mismatch(run):
-    code, _ = run("sweep", "--matrix", SPLITTER_II_PATH, "--photons", "2",
-                  "--modes", "5")
-    assert code == 2
-
-
 # --- reproduce ---------------------------------------------------------------------
 
 def test_reproduce_stock_bundle_passes(run):
@@ -211,6 +205,19 @@ def test_reproduce_corrupted_file(run, tmp_path):
     bad.write_text("{this is not json")
     code, _ = run("reproduce", "--matrix", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_reproduce_rejects_bad_tolerance(run, tol):
+    with pytest.raises(SystemExit) as exc:
+        run("reproduce", "--tol", tol)
+    assert exc.value.code == 2
+
+
+def test_reproduce_zero_tolerance_is_accepted(run):
+    code, output = run("reproduce", "--tol", "0")
+    assert code == 1
+    assert "(tolerance scale 0)" in output
 
 
 def test_reproduce_tiny_tolerance_fails(run):

@@ -21,8 +21,12 @@ from noonforge import (
     fock_hamiltonian,
     permanent,
     state_from_spec,
+    sweep_inputs,
     transition_amplitude,
+    unitarize,
 )
+from noonforge.evolve import PERMANENT_CAP
+from noonforge.unitary import max_unitarity_defect
 
 from oracles import haar_unitary, naive_permanent, random_fock_input, random_hermitian
 
@@ -66,12 +70,21 @@ def test_permanent_matches_naive_oracle_hypothesis(m):
 
 def test_permanent_cap():
     with pytest.raises(CapacityError):
-        permanent(np.eye(5), cap=4)
+        permanent(np.eye(PERMANENT_CAP + 1))
 
 
 def test_permanent_needs_square():
     with pytest.raises(ShapeError):
         permanent(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: transition_amplitude(m, (1, 0), (0, 1)),
+    lambda m: fock_hamiltonian(m, enumerate_basis(2, 1)),
+], ids=["transition_amplitude", "fock_hamiltonian"])
+def test_non_square_matrix_rejected(call):
+    with pytest.raises(ShapeError):
+        call(np.ones((2, 3)))
 
 
 # --- transition_amplitude ----------------------------------------------------
@@ -127,6 +140,20 @@ def test_evolve_rejects_non_unitary(splitter_ii):
     _, state = state_from_spec("0,0,1,1")
     with pytest.raises(NotUnitaryError):
         evolve_state(splitter_ii, state)
+
+
+@pytest.mark.parametrize("consume", [
+    lambda u: evolve_state(u, state_from_spec("1,1,0,0")[1]),
+    lambda u: sweep_inputs(u, 2),
+    effective_hamiltonian,
+], ids=["evolve_state", "sweep_inputs", "effective_hamiltonian"])
+def test_shared_unitarity_contract(consume):
+    u = haar_unitary(4, np.random.default_rng(RNG_SEED))
+    near = u * (1 + 5e-10)  # M^H M = (1 + 1e-9) I
+    assert max_unitarity_defect(near) == pytest.approx(1e-9, rel=1e-3)
+    with pytest.raises(NotUnitaryError):
+        consume(near)
+    consume(unitarize(near))
 
 
 def test_evolve_rejects_unnormalized(operator_ii):

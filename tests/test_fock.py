@@ -48,7 +48,7 @@ def test_index_roundtrip(modes, photons):
 
 def test_capacity_cap():
     with pytest.raises(CapacityError):
-        enumerate_basis(20, 30, cap=1000)
+        enumerate_basis(20, 30)
 
 
 def test_env_cap_override(monkeypatch):

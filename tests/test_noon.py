@@ -190,14 +190,14 @@ def test_quoted_two_photon_fidelity_closed_form():
 # --- sweep ----------------------------------------------------------------------
 
 def test_sweep_ranks_spread_first(operator_ii):
-    rows = sweep_inputs(operator_ii, 4, 4)
+    rows = sweep_inputs(operator_ii, 4)
     assert rows[0][0] == (1, 1, 1, 1)
     by_input = {occ: r.success_probability for occ, r in rows}
     assert by_input[(1, 1, 1, 1)] > by_input[(4, 0, 0, 0)]
 
 
 def test_sweep_matches_extract_noon(operator_ii):
-    rows = dict(sweep_inputs(operator_ii, 3, 4))
+    rows = dict(sweep_inputs(operator_ii, 3))
     basis = enumerate_basis(4, 3)
     for occ in [(0, 1, 1, 1), (3, 0, 0, 0), (1, 1, 1, 0)]:
         table = evolve_state(operator_ii, QuantumState.from_occupations(basis, occ))
@@ -208,14 +208,14 @@ def test_sweep_matches_extract_noon(operator_ii):
 
 
 def test_single_photon_sweep_is_trivial(operator_ii):
-    rows = sweep_inputs(operator_ii, 1, 4)
+    rows = sweep_inputs(operator_ii, 1)
     assert len(rows) == 4
     for _, report in rows:
         assert report.success_probability == pytest.approx(1.0, abs=1e-9)
 
 
 def test_identity_sweep_concentrated_inputs():
-    rows = dict(sweep_inputs(np.eye(4), 3, 4))
+    rows = dict(sweep_inputs(np.eye(4), 3))
     concentrated = rows[(3, 0, 0, 0)]
     assert concentrated.success_probability == pytest.approx(1.0)
     assert concentrated.fidelity == pytest.approx(0.25)
@@ -225,22 +225,20 @@ def test_identity_sweep_concentrated_inputs():
 
 
 def test_sweep_tie_break_is_lexicographic():
-    rows = sweep_inputs(np.eye(4), 2, 4)
+    rows = sweep_inputs(np.eye(4), 2)
     top = [occ for occ, r in rows if r.success_probability > 0.5]
     assert top == sorted(top)
 
 
 def test_sweep_validates_inputs(operator_ii):
     with pytest.raises(ShapeError):
-        sweep_inputs(operator_ii, 2, 5)
-    with pytest.raises(ShapeError):
-        sweep_inputs(operator_ii, 0, 4)
+        sweep_inputs(operator_ii, 0)
     with pytest.raises(NotUnitaryError):
-        sweep_inputs(2 * np.eye(4), 2, 4)
+        sweep_inputs(2 * np.eye(4), 2)
 
 
 def test_sweep_success_probabilities_are_probabilities():
     rng = np.random.default_rng(RNG_SEED)
     u = haar_unitary(4, rng)
-    for _, report in sweep_inputs(u, 3, 4):
+    for _, report in sweep_inputs(u, 3):
         assert 0.0 <= report.success_probability <= 1.0 + 1e-12

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from noonforge import (
     BranchCutError,
+    InputError,
     MatrixFile,
     MatrixFileError,
     NotHermitianError,
@@ -181,6 +182,15 @@ def test_column_norm_violation_detected():
 def test_validate_symmetry_needs_4x4():
     with pytest.raises(ShapeError):
         validate_symmetry(np.eye(3), SymmetryPattern.subspace_i(), 0.1, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_validate_symmetry_rejects_bad_tolerance(splitter_i, bad):
+    pattern = SymmetryPattern.subspace_i()
+    with pytest.raises(InputError):
+        validate_symmetry(splitter_i, pattern, bad, 2.0)
+    with pytest.raises(InputError):
+        validate_symmetry(splitter_i, pattern, 0.02, bad)
 
 
 # --- effective_hamiltonian / matrix_exp -------------------------------------
