@@ -24,8 +24,9 @@ import numpy as np
 from . import serialize
 from .errors import InputError, NumericError
 from .evolve import evolve_state
-from .fock import format_occupations, parse_occupations, state_from_spec
-from .noon import extract_noon, post_select, sweep_inputs
+from .fock import (NEGLIGIBLE_AMPLITUDE, amplitude_row, format_occupations,
+                   parse_occupations, state_from_spec)
+from .noon import noon_components, noon_report, post_select, sweep_inputs
 from .reference import operator_from_file, reproduction_claims
 from .unitary import MatrixFile, load_matrix, save_matrix, unitarity_defect, unitarize
 
@@ -74,7 +75,7 @@ def cmd_evolve(matrix_path: str, input_spec: str, json_output: bool = False) -> 
         print(serialize.dumps(table.to_payload()), end="")
     else:
         print(f"matrix: {mf.label}   input: {input_spec.strip()}   "
-              f"({table.modes} modes, {table.photons} photons)")
+              f"({table.basis.modes} modes, {table.basis.photons} photons)")
         print("output components (descending magnitude):")
         _print_amplitude_rows(table.sorted_components())
     return 0
@@ -84,35 +85,30 @@ def cmd_noon(matrix_path: str, input_spec: str, select: str | None = None,
              json_output: bool = False) -> int:
     mf = load_matrix(matrix_path)
     _, state = state_from_spec(input_spec)
-    table = evolve_state(operator_from_file(mf), state)
+    u = operator_from_file(mf)
 
     if select is not None:
-        kept = [parse_occupations(part) for part in select.split(";") if part.strip()]
-        selected, probability = post_select(table, kept)
+        kept = list(dict.fromkeys(
+            parse_occupations(part) for part in select.split(";") if part.strip()))
+        selected, probability = post_select(evolve_state(u, state), kept)
+        components = [(occ, a) for occ, a in zip(selected.basis.states, selected.amplitudes)
+                      if abs(a) > NEGLIGIBLE_AMPLITUDE]
         if json_output:
             payload = {
                 "input": input_spec.strip(),
                 "selection": [format_occupations(occ) for occ in kept],
                 "probability": serialize.fixed(probability, 4),
-                "components": [
-                    {"state": format_occupations(occ),
-                     "mag": serialize.fixed(abs(a), 6),
-                     "phase_deg": serialize.fixed(math.degrees(np.angle(a)), 6)}
-                    for occ, a in zip(selected.basis.states, selected.amplitudes)
-                    if abs(a) > 1e-12
-                ],
+                "components": [amplitude_row(occ, a) for occ, a in components],
             }
             print(serialize.dumps(payload), end="")
         else:
             print(f"matrix: {mf.label}   input: {input_spec.strip()}")
             print(f"post-selected probability: {probability:.4f}")
             print("renormalized components:")
-            _print_amplitude_rows(
-                [(occ, a) for occ, a in zip(selected.basis.states, selected.amplitudes)
-                 if abs(a) > 1e-12])
+            _print_amplitude_rows(components)
         return 0
 
-    report = extract_noon(table, table.photons)
+    report = noon_report(u, state)
     if json_output:
         payload = {"input": input_spec.strip()}
         payload.update(report.to_payload())
@@ -123,16 +119,13 @@ def cmd_noon(matrix_path: str, input_spec: str, select: str | None = None,
         print(f"success probability: {report.success_probability:.4f}")
         print(f"fidelity           : {report.fidelity:.4f}")
         print("bunched components:")
-        for j in range(report.modes):
-            occ = [0] * report.modes
-            occ[j] = report.photons
-            c = report.raw_amplitudes[j]
-            shifter = report.optimal_phases_deg[j]
+        for occ, c, m, shifter in zip(
+                noon_components(state.basis), report.raw_amplitudes,
+                report.normalized_amplitudes, report.optimal_phases_deg):
             if round(shifter) == 0:
                 shifter = 0.0
-            print(f"  |{format_occupations(tuple(occ))}>  mag {abs(c):.4f}  "
-                  f"normalized {report.normalized_amplitudes[j]:.4f}  "
-                  f"shifter {shifter:+5.0f} deg")
+            print(f"  |{format_occupations(occ)}>  mag {abs(c):.4f}  "
+                  f"normalized {m:.4f}  shifter {shifter:+5.0f} deg")
     return 0
 
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
 from .errors import CapacityError, InputError, ShapeError
-from .fock import FockBasis, FockState, QuantumState, format_occupations, state_to_spec
+from .fock import FockBasis, FockState, QuantumState, amplitude_row, state_to_spec
 from .unitary import matrix_exp, require_hermitian, require_square, require_unitary
 
 PERMANENT_CAP = 16
@@ -106,67 +105,44 @@ def evolution_operator(scattering) -> np.ndarray:
     return require_square(scattering).T.copy()
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionTable:
-    """Output amplitudes over a full n-photon basis for one input state."""
+@dataclass(frozen=True, eq=False, kw_only=True)
+class TransitionTable(QuantumState):
+    """Output state over the full n-photon basis, with the input it evolved from."""
 
     input: QuantumState
-    basis: FockBasis
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (len(self.basis),):
-            raise ShapeError("amplitude vector does not match basis size")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def modes(self) -> int:
-        return self.basis.modes
-
-    @property
-    def photons(self) -> int:
-        return self.basis.photons
-
-    def amplitude(self, occupations: FockState) -> complex:
-        return complex(self.amplitudes[self.basis.index_of(occupations)])
-
-    def probability(self, occupations: FockState) -> float:
-        return abs(self.amplitude(occupations)) ** 2
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def output_state(self) -> QuantumState:
         return QuantumState(self.basis, self.amplitudes)
 
-    def sorted_components(self, min_magnitude: float = 0.0):
+    def sorted_components(self):
         """(occupations, amplitude) pairs sorted by descending magnitude.
 
         Ties keep basis order, so the listing is deterministic.
         """
-        pairs = [(occ, complex(a)) for occ, a in zip(self.basis.states, self.amplitudes)
-                 if abs(a) >= min_magnitude]
+        pairs = [(occ, complex(a)) for occ, a in zip(self.basis.states, self.amplitudes)]
         pairs.sort(key=lambda p: -abs(p[1]))
         return pairs
 
     def to_payload(self) -> dict:
         """Serialization payload; magnitudes and phases to 6 decimal places."""
         return {
-            "modes": self.modes,
-            "photons": self.photons,
+            "modes": self.basis.modes,
+            "photons": self.basis.photons,
             "input": state_to_spec(self.input),
-            "amplitudes": [
-                {
-                    "state": format_occupations(occ),
-                    "mag": serialize.fixed(abs(a), 6),
-                    "phase_deg": serialize.fixed(math.degrees(np.angle(a)), 6),
-                }
-                for occ, a in zip(self.basis.states, self.amplitudes)
-            ],
+            "amplitudes": [amplitude_row(occ, a)
+                           for occ, a in zip(self.basis.states, self.amplitudes)],
         }
+
+
+def require_evolvable(matrix, state: QuantumState) -> np.ndarray:
+    """The unitary `matrix` as an array, checked to act on the normalized `state`."""
+    u = require_unitary(matrix)
+    if state.basis.modes != u.shape[0]:
+        raise ShapeError(
+            f"state has {state.basis.modes} modes, matrix has {u.shape[0]} ports")
+    if not state.is_normalized():
+        raise InputError("input state must be normalized")
+    return u
 
 
 def evolve_state(matrix, state: QuantumState) -> TransitionTable:
@@ -175,13 +151,7 @@ def evolve_state(matrix, state: QuantumState) -> TransitionTable:
     Amplitudes for every basis state are assembled by linearity over the
     input components; unitarity conserves the norm.
     """
-    u = require_unitary(matrix)
-    if state.basis.modes != u.shape[0]:
-        raise ShapeError(
-            f"state has {state.basis.modes} modes, matrix has {u.shape[0]} ports")
-    if not state.is_normalized():
-        raise InputError("input state must be normalized")
-
+    u = require_evolvable(matrix, state)
     basis = state.basis
     amplitudes = np.zeros(len(basis), dtype=complex)
     for occ_in, coeff in zip(basis.states, state.amplitudes):
@@ -189,7 +159,7 @@ def evolve_state(matrix, state: QuantumState) -> TransitionTable:
             continue
         for idx, occ_out in enumerate(basis.states):
             amplitudes[idx] += coeff * transition_amplitude(u, occ_in, occ_out)
-    return TransitionTable(state, basis, amplitudes)
+    return TransitionTable(basis, amplitudes, input=state)
 
 
 def fock_hamiltonian(coupling, basis: FockBasis) -> np.ndarray:
@@ -229,4 +199,4 @@ def evolve_state_hamiltonian(coupling, state: QuantumState) -> TransitionTable:
     """
     h = fock_hamiltonian(require_hermitian(coupling), state.basis)
     amplitudes = matrix_exp(h) @ state.amplitudes
-    return TransitionTable(state, state.basis, amplitudes)
+    return TransitionTable(state.basis, amplitudes, input=state)

@@ -9,17 +9,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import serialize
 from .errors import CapacityError, InputError, SpecError
 
 FockState = tuple[int, ...]
 
 DEFAULT_STATE_CAP = 10_000_000
 CAP_ENV_VAR = "NOONFORGE_CAP"
+NEGLIGIBLE_AMPLITUDE = 1e-12
 
 _TERM_RE = re.compile(
     r"^\s*(?:(?P<amp>[+-]?\d+(?:\.\d+)?)(?:@(?P<phase>[+-]?\d+(?:\.\d+)?))?\s*\*\s*)?"
     r"\|(?P<ket>[^>|]*)>\s*$"
 )
+_TERM_JOIN_RE = re.compile(r"(?<=>)\s*\+")
 
 
 def state_cap() -> int:
@@ -131,8 +134,8 @@ class QuantumState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, tol: float = 1e-9) -> bool:
-        return abs(self.norm() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() - 1.0) <= 1e-9
 
     def normalized(self) -> "QuantumState":
         n = self.norm()
@@ -143,7 +146,7 @@ class QuantumState:
     def canonical(self) -> "QuantumState":
         """Rotate the global phase so the first nonzero amplitude is real-positive."""
         for amp in self.amplitudes:
-            if abs(amp) > 1e-12:
+            if abs(amp) > NEGLIGIBLE_AMPLITUDE:
                 return QuantumState(self.basis, self.amplitudes * (abs(amp) / amp))
         return self
 
@@ -153,6 +156,15 @@ class QuantumState:
 
 def format_occupations(occupations: FockState) -> str:
     return ",".join(str(n) for n in occupations)
+
+
+def amplitude_row(occupations: FockState, amplitude: complex) -> dict:
+    """JSON row for one amplitude: ket, magnitude and phase to 6 decimal places."""
+    return {
+        "state": format_occupations(occupations),
+        "mag": serialize.fixed(abs(amplitude), 6),
+        "phase_deg": serialize.fixed(math.degrees(np.angle(amplitude)), 6),
+    }
 
 
 def parse_occupations(text: str) -> FockState:
@@ -173,7 +185,8 @@ def state_from_spec(spec: str) -> tuple[FockBasis, QuantumState]:
 
     Grammar: a bare occupation list ``"0,0,1,1"``, or a superposition of
     terms ``[amp[@phase_deg]*]|KET>`` joined by ``+``, e.g.
-    ``"0.7*|2,0> + 0.7@90*|0,2>"``.
+    ``"0.7*|2,0> + 0.7@90*|0,2>"``. Only a ``+`` after a closing ``>`` joins
+    terms, so amplitudes and phases may carry an explicit sign.
     """
     text = spec.strip()
     if not text:
@@ -184,7 +197,7 @@ def state_from_spec(spec: str) -> tuple[FockBasis, QuantumState]:
         return basis, QuantumState.from_occupations(basis, occ)
 
     terms = []
-    for chunk in text.split("+"):
+    for chunk in _TERM_JOIN_RE.split(text):
         m = _TERM_RE.match(chunk)
         if m is None:
             raise SpecError(f"malformed term {chunk!r} in spec {spec!r}")
@@ -212,10 +225,11 @@ def state_from_spec(spec: str) -> tuple[FockBasis, QuantumState]:
     return basis, QuantumState(basis, amps).normalized()
 
 
-def state_to_spec(state: QuantumState, tol: float = 1e-12) -> str:
+def state_to_spec(state: QuantumState) -> str:
     """Render a state in the ket-spec grammar (single kets stay bare lists)."""
-    nonzero = [(i, a) for i, a in enumerate(state.amplitudes) if abs(a) > tol]
-    if len(nonzero) == 1 and abs(abs(nonzero[0][1]) - 1.0) <= tol:
+    nonzero = [(i, a) for i, a in enumerate(state.amplitudes)
+               if abs(a) > NEGLIGIBLE_AMPLITUDE]
+    if len(nonzero) == 1 and abs(abs(nonzero[0][1]) - 1.0) <= NEGLIGIBLE_AMPLITUDE:
         return format_occupations(state.basis.states[nonzero[0][0]])
     parts = []
     for i, amp in nonzero:

@@ -4,20 +4,21 @@ A NOON component is a basis state with all photons bunched in one port. The
 ideal target is their equal-magnitude superposition; per-port output phase
 shifters can align any phases for free, so the fidelity reduces to the closed
 form (sum |c_j|)^2 / (K sum |c_j|^2), which is 1 exactly when the magnitudes
-are equal.
+are equal. A report therefore needs only the K bunched output amplitudes;
+noon_report and sweep_inputs compute just those.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import serialize
 from .errors import ShapeError, SpecError, ZeroProbabilityError
-from .evolve import TransitionTable, transition_amplitude
-from .fock import FockBasis, FockState, QuantumState, enumerate_basis, format_occupations
+from .evolve import TransitionTable, require_evolvable, transition_amplitude
+from .fock import FockBasis, FockState, QuantumState, amplitude_row, enumerate_basis
 from .unitary import require_unitary
 
 ZERO_WEIGHT = 1e-24
@@ -43,9 +44,7 @@ class NoonReport:
             "fidelity": serialize.fixed(self.fidelity, 4),
             "components": [
                 {
-                    "state": format_occupations(_bunched(j, self.photons, self.modes)),
-                    "mag": serialize.fixed(abs(c), 6),
-                    "phase_deg": serialize.fixed(math.degrees(np.angle(c)), 6),
+                    **amplitude_row(_bunched(j, self.photons, self.modes), c),
                     "normalized_mag": serialize.fixed(m, 4),
                     "optimal_phase_deg": serialize.fixed(p, 2),
                 }
@@ -68,6 +67,8 @@ def noon_components(basis: FockBasis) -> list[FockState]:
 
 
 def _report_from_amplitudes(raw: np.ndarray, photons: int, modes: int) -> NoonReport:
+    if photons < 1:
+        raise ShapeError("NOON extraction needs at least one photon")
     success = float(np.sum(np.abs(raw) ** 2))
     if success <= ZERO_WEIGHT:
         raise ZeroProbabilityError("no probability weight on the bunched components")
@@ -81,15 +82,37 @@ def _report_from_amplitudes(raw: np.ndarray, photons: int, modes: int) -> NoonRe
                       phases, normalized, fidelity)
 
 
-def extract_noon(table: TransitionTable, photons: int) -> NoonReport:
+def _bunched_report(u: np.ndarray, terms, photons: int) -> NoonReport:
+    """NoonReport of S sum_k coeff_k |occ_k> from its K bunched amplitudes alone.
+
+    `terms` lists the input's nonzero (occupations, coeff) pairs in basis
+    order, the order evolve_state sums them in, so the amplitudes match its
+    table bit for bit.
+    """
+    modes = u.shape[0]
+    targets = [_bunched(j, photons, modes) for j in range(modes)]
+    raw = np.zeros(modes, dtype=complex)
+    for occ_in, coeff in terms:
+        for j, target in enumerate(targets):
+            raw[j] += coeff * transition_amplitude(u, occ_in, target)
+    return _report_from_amplitudes(raw, photons, modes)
+
+
+def noon_report(matrix, state: QuantumState) -> NoonReport:
+    """NOON report of a normalized state sent through a unitary multiport.
+
+    Equal to extract_noon(evolve_state(matrix, state)), but computes only the
+    K bunched output amplitudes instead of the full output table.
+    """
+    u = require_evolvable(matrix, state)
+    terms = [(occ, c) for occ, c in zip(state.basis.states, state.amplitudes) if c != 0]
+    return _bunched_report(u, terms, state.basis.photons)
+
+
+def extract_noon(table: TransitionTable) -> NoonReport:
     """Post-select the bunched components and report success, phases, fidelity."""
-    if table.photons != photons:
-        raise ShapeError(
-            f"table carries {table.photons} photons, expected {photons}")
-    if photons < 1:
-        raise ShapeError("NOON extraction needs at least one photon")
     raw = np.array([table.amplitude(occ) for occ in noon_components(table.basis)])
-    return _report_from_amplitudes(raw, photons, table.modes)
+    return _report_from_amplitudes(raw, table.basis.photons, table.basis.modes)
 
 
 def post_select(table: TransitionTable, kept) -> tuple[QuantumState, float]:
@@ -124,14 +147,12 @@ def fidelity_against(state: QuantumState, target: QuantumState) -> float:
     return float(abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2)
 
 
-def ideal_noon_state(modes: int, photons: int, phases_deg=None) -> QuantumState:
-    """The equal-superposition target (1/sqrt(K)) sum_j e^{i phi_j} |N e_j>."""
+def ideal_noon_state(modes: int, photons: int) -> QuantumState:
+    """The equal-superposition target (1/sqrt(K)) sum_j |N e_j>."""
     basis = enumerate_basis(modes, photons)
     amps = np.zeros(len(basis), dtype=complex)
-    if phases_deg is None:
-        phases_deg = [0.0] * modes
-    for j, occ in enumerate(noon_components(basis)):
-        amps[basis.index_of(occ)] = np.exp(1j * math.radians(phases_deg[j])) / math.sqrt(modes)
+    for occ in noon_components(basis):
+        amps[basis.index_of(occ)] = 1 / math.sqrt(modes)
     return QuantumState(basis, amps)
 
 
@@ -140,16 +161,13 @@ def apply_phase_shifts(obj, phases_deg):
 
     Accepts a QuantumState or a TransitionTable and returns the same kind.
     """
-    if not isinstance(obj, (TransitionTable, QuantumState)):
+    if not isinstance(obj, QuantumState):
         raise TypeError(f"cannot phase-shift {type(obj).__name__}")
-    basis = obj.basis
     phases = np.asarray(phases_deg, dtype=float)
-    if phases.shape != (basis.modes,):
+    if phases.shape != (obj.basis.modes,):
         raise ShapeError(f"need one phase per port, got shape {phases.shape}")
-    shifted = obj.amplitudes * np.exp(1j * np.radians(np.array(basis.states) @ phases))
-    if isinstance(obj, TransitionTable):
-        return TransitionTable(obj.input, basis, shifted)
-    return QuantumState(basis, shifted)
+    factors = np.exp(1j * np.radians(np.array(obj.basis.states) @ phases))
+    return replace(obj, amplitudes=obj.amplitudes * factors)
 
 
 def _zero_report(photons: int, modes: int) -> NoonReport:
@@ -160,9 +178,9 @@ def _zero_report(photons: int, modes: int) -> NoonReport:
 def sweep_inputs(matrix, total_photons: int) -> list[tuple[FockState, NoonReport]]:
     """Rank every n-photon input over the matrix's ports by NOON success probability.
 
-    Only the K bunched output amplitudes enter a NoonReport, so each input is
-    scored from those directly; the reports are identical to running
-    extract_noon on the full table. Inputs with no bunched weight get a
+    Each input is scored from its K bunched output amplitudes alone, as
+    noon_report does; the reports are identical to running extract_noon on
+    the full table. Inputs with no bunched weight get a
     zero-success placeholder (fidelity 0) and rank last. Ties break on the
     lexicographic order of the input occupations.
     """
@@ -170,13 +188,10 @@ def sweep_inputs(matrix, total_photons: int) -> list[tuple[FockState, NoonReport
         raise ShapeError("sweep needs at least one photon")
     u = require_unitary(matrix)
     modes = u.shape[0]
-    basis = enumerate_basis(modes, total_photons)
-    targets = noon_components(basis)
     rows = []
-    for occ in basis.states:
-        raw = np.array([transition_amplitude(u, occ, t) for t in targets])
+    for occ in enumerate_basis(modes, total_photons).states:
         try:
-            report = _report_from_amplitudes(raw, total_photons, modes)
+            report = _bunched_report(u, [(occ, 1)], total_photons)
         except ZeroProbabilityError:
             report = _zero_report(total_photons, modes)
         rows.append((occ, report))

@@ -207,7 +207,7 @@ def reproduction_claims(matrix_file: MatrixFile | None = None,
     # Two-photon bunched extraction.
     lo, hi = TWO_PHOTON_SUCCESS_RANGE
     try:
-        report2 = extract_noon(table2, 2)
+        report2 = extract_noon(table2)
         claims.append(_band_claim("two-photon bunched success probability",
                                   report2.success_probability,
                                   (lo + hi) / 2, (hi - lo) / 2 * t))
@@ -241,7 +241,7 @@ def reproduction_claims(matrix_file: MatrixFile | None = None,
         "three-photon bunched magnitudes", computed3, THREE_PHOTON_NOON,
         mag_tol))
     try:
-        report3 = extract_noon(table3, 3)
+        report3 = extract_noon(table3)
         claims.append(_band_claim("three-photon success probability",
                                   report3.success_probability,
                                   THREE_PHOTON_SUCCESS,
@@ -264,7 +264,7 @@ def reproduction_claims(matrix_file: MatrixFile | None = None,
         "four-photon bunched magnitudes", computed4, FOUR_PHOTON_NOON,
         mag_tol))
     try:
-        report4 = extract_noon(table4, 4)
+        report4 = extract_noon(table4)
         bands = " or ".join(f"{c} +- {w * t:.4f}"
                             for c, w in FOUR_PHOTON_SUCCESS_BANDS)
         ok = any(abs(report4.success_probability - center) <= width * t

@@ -25,11 +25,11 @@ def fixed(value: float, places: int) -> RawNumber:
     return RawNumber(text)
 
 
-def sci(value: float, digits: int = 6) -> RawNumber:
-    """Scientific-notation token with a fixed digit count."""
+def sci(value: float) -> RawNumber:
+    """Scientific-notation token with six digits after the point."""
     if float(value) == 0.0:
         value = 0.0
-    return RawNumber(f"{value:.{digits}e}")
+    return RawNumber(f"{value:.6e}")
 
 
 def decimal_token(value: Decimal) -> RawNumber:
@@ -90,6 +90,6 @@ def _emit(value, level: int, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def dumps(value, indent: int = 2) -> str:
-    """Render a payload as deterministic JSON text (trailing newline included)."""
-    return _emit(value, 0, indent) + "\n"
+def dumps(value) -> str:
+    """Render a payload as deterministic JSON text (two-space indent, trailing newline)."""
+    return _emit(value, 0, 2) + "\n"

@@ -362,4 +362,8 @@ def dumps_matrix(mf: MatrixFile) -> str:
 
 
 def save_matrix(path, mf: MatrixFile) -> None:
-    Path(path).write_text(dumps_matrix(mf))
+    path = Path(path)
+    try:
+        path.write_text(dumps_matrix(mf))
+    except OSError as exc:
+        raise MatrixFileError(f"cannot write matrix file {path}: {exc}") from exc

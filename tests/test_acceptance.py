@@ -104,7 +104,7 @@ def test_criterion_1_two_photon_output_table(operator_ii):
 
 
 def test_criterion_2_two_photon_noon(operator_ii):
-    report = extract_noon(evolve_ket(operator_ii, "0,0,1,1"), 2)
+    report = extract_noon(evolve_ket(operator_ii, "0,0,1,1"))
     assert 0.45 <= report.success_probability <= 0.50
     assert report.fidelity >= 0.998
     for got, quoted in zip(report.normalized_amplitudes, QUOTED_PAIR_NOON_NORMALIZED):
@@ -126,7 +126,7 @@ def test_criterion_3_path_entangled_branch(operator_ii):
 
 
 def test_criterion_4_three_photon_noon(operator_ii):
-    report = extract_noon(evolve_ket(operator_ii, "0,1,1,1"), 3)
+    report = extract_noon(evolve_ket(operator_ii, "0,1,1,1"))
     assert abs(report.success_probability - 0.348) <= 0.02
     assert abs(report.fidelity - 0.992) <= 0.005
     for got, quoted in zip(report.normalized_amplitudes, QUOTED_TRIPLE_NOON_NORMALIZED):
@@ -137,7 +137,7 @@ def test_criterion_4_three_photon_noon(operator_ii):
 
 
 def test_criterion_5_four_photon_noon(operator_ii):
-    report = extract_noon(evolve_ket(operator_ii, "1,1,1,1"), 4)
+    report = extract_noon(evolve_ket(operator_ii, "1,1,1,1"))
     in_either_band = (abs(report.success_probability - 0.337) <= 0.02
                       or abs(report.success_probability - 0.348) <= 0.02)
     assert in_either_band, f"success {report.success_probability:.4f}"

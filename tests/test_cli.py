@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noonforge import MatrixFile, reference, save_matrix, serialize
+from noonforge import MatrixFile, cli, reference, save_matrix, serialize
 from noonforge.cli import main
 
 SPLITTER_II_PATH = str(reference.data_path("splitter_ii.json"))
@@ -63,6 +63,12 @@ def test_unitarize_already_unitary(run, identity4, tmp_path):
 def test_unitarize_missing_file(run, tmp_path):
     code, _ = run("unitarize", "--matrix", str(tmp_path / "absent.json"),
                   "--out", str(tmp_path / "out.json"))
+    assert code == 2
+
+
+def test_unitarize_out_into_missing_directory(run, tmp_path):
+    code, _ = run("unitarize", "--matrix", SPLITTER_II_PATH,
+                  "--out", str(tmp_path / "absent" / "out.json"))
     assert code == 2
 
 
@@ -137,6 +143,27 @@ def test_noon_select_same_side_pairs(run):
     assert float(payload["probability"]) == pytest.approx(0.47, abs=0.03)
     mags = [float(c["mag"]) for c in payload["components"]]
     assert mags == pytest.approx([0.686, 0.728], abs=0.02)
+
+
+def test_noon_select_echoes_each_state_once(run):
+    code, output = run("noon", "--matrix", SPLITTER_II_PATH, "--input", "0,0,1,1",
+                       "--select", "1,1,0,0;0,0,1,1;1,1,0,0", "--json")
+    assert code == 0
+    assert serialize.loads(output)["selection"] == ["1,1,0,0", "0,0,1,1"]
+
+
+def test_noon_reads_only_bunched_amplitudes(run, monkeypatch):
+    _, expected = run("noon", "--matrix", SPLITTER_II_PATH, "--input", "1,1,1,1",
+                      "--json")
+
+    def refuse(*args):
+        raise AssertionError("noon without --select evolved the full table")
+
+    monkeypatch.setattr(cli, "evolve_state", refuse)
+    code, output = run("noon", "--matrix", SPLITTER_II_PATH, "--input", "1,1,1,1",
+                       "--json")
+    assert code == 0
+    assert output == expected
 
 
 def test_noon_two_port_splitter(run, symmetric2):

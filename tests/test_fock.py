@@ -89,6 +89,16 @@ def test_superposition_spec():
     assert state.amplitude((0, 2)) == pytest.approx(1j / math.sqrt(2))
 
 
+@pytest.mark.parametrize("signed, plain", [
+    ("0.7@+90*|2,0> + 0.7*|0,2>", "0.7@90*|2,0> + 0.7*|0,2>"),
+    ("+0.6*|1,1> + 0.8*|2,0>", "0.6*|1,1> + 0.8*|2,0>"),
+    ("0.6*|1,1> + +0.8@+45*|2,0>", "0.6*|1,1> + 0.8@45*|2,0>"),
+])
+def test_explicit_plus_sign(signed, plain):
+    assert np.array_equal(state_from_spec(signed)[1].amplitudes,
+                          state_from_spec(plain)[1].amplitudes)
+
+
 def test_bare_ket_term():
     _, state = state_from_spec("|1,0> + |0,1>")
     assert state.amplitude((1, 0)) == pytest.approx(1 / math.sqrt(2))

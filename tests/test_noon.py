@@ -10,14 +10,18 @@ from noonforge import (
     SpecError,
     ZeroProbabilityError,
     apply_phase_shifts,
+    TransitionTable,
     enumerate_basis,
+    evolution_operator,
     evolve_state,
     extract_noon,
     fidelity_against,
     ideal_noon_state,
+    noon_report,
     post_select,
     state_from_spec,
     sweep_inputs,
+    unitarize,
 )
 from noonforge.noon import noon_components
 
@@ -75,32 +79,27 @@ def test_selection_validation(pair_table):
 
 def test_hom_gives_perfect_two_mode_noon(symmetric_splitter):
     _, state = state_from_spec("1,1")
-    report = extract_noon(evolve_state(symmetric_splitter, state), 2)
+    report = extract_noon(evolve_state(symmetric_splitter, state))
     assert report.success_probability == pytest.approx(1.0, abs=1e-12)
     assert report.fidelity == pytest.approx(1.0, abs=1e-12)
-
-
-def test_photon_count_must_match(pair_table):
-    with pytest.raises(ShapeError):
-        extract_noon(pair_table, 3)
 
 
 def test_no_bunched_weight_raises():
     _, state = state_from_spec("1,1,0,0")
     table = evolve_state(np.eye(4), state)
     with pytest.raises(ZeroProbabilityError):
-        extract_noon(table, 2)
+        extract_noon(table)
 
 
 def test_two_photon_report(pair_table):
-    report = extract_noon(pair_table, 2)
+    report = extract_noon(pair_table)
     assert 0.45 <= report.success_probability <= 0.50
     assert report.fidelity >= 0.998
     assert sum(m * m for m in report.normalized_amplitudes) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_report_invariants(pair_table):
-    report = extract_noon(pair_table, 2)
+    report = extract_noon(pair_table)
     raw = np.array(report.raw_amplitudes)
     assert report.success_probability == pytest.approx(float(np.sum(np.abs(raw) ** 2)))
     assert report.fidelity == pytest.approx(
@@ -109,20 +108,48 @@ def test_report_invariants(pair_table):
         assert theta == pytest.approx(-np.angle(c, deg=True) / 2)
 
 
+@pytest.mark.parametrize("name", ["splitter_i", "splitter_ii"])
+def test_noon_report_equals_extract_noon(name, request):
+    u = evolution_operator(unitarize(request.getfixturevalue(name)))
+    states = [QuantumState.from_occupations(basis, occ)
+              for basis in (enumerate_basis(4, n) for n in range(1, 5))
+              for occ in basis.states]
+    states.append(state_from_spec(
+        "0.6*|2,1,0,0> + 0.8@135*|0,1,1,1> + 0.5@-60*|1,0,1,1>")[1])
+    for state in states:
+        assert noon_report(u, state) == extract_noon(evolve_state(u, state))
+
+
+def test_noon_report_checks_like_evolve_state(operator_ii):
+    with pytest.raises(ShapeError):
+        noon_report(operator_ii, state_from_spec("1,1,1")[1])
+    with pytest.raises(ShapeError):
+        noon_report(operator_ii, state_from_spec("0,0,0,0")[1])
+    with pytest.raises(ZeroProbabilityError):
+        noon_report(np.eye(4), state_from_spec("1,1,0,0")[1])
+
+
 def test_optimal_phases_align_to_ideal_target(pair_table):
-    report = extract_noon(pair_table, 2)
+    report = extract_noon(pair_table)
     bunched, _ = post_select(pair_table, noon_components(pair_table.basis))
     shifted = apply_phase_shifts(bunched, report.optimal_phases_deg)
     target = ideal_noon_state(4, 2)
     assert fidelity_against(shifted, target) == pytest.approx(report.fidelity, abs=1e-9)
 
 
+def test_phase_shift_keeps_table_input(pair_table):
+    shifted = apply_phase_shifts(pair_table, [10.0, 20.0, 30.0, 40.0])
+    assert isinstance(shifted, TransitionTable)
+    assert shifted.input is pair_table.input
+    assert shifted.basis == pair_table.basis
+
+
 def test_extraction_invariant_under_phase_shifts(pair_table):
     rng = np.random.default_rng(RNG_SEED)
-    base = extract_noon(pair_table, 2)
+    base = extract_noon(pair_table)
     for _ in range(5):
         shifted_table = apply_phase_shifts(pair_table, rng.uniform(-180, 180, size=4))
-        report = extract_noon(shifted_table, 2)
+        report = extract_noon(shifted_table)
         assert report.success_probability == pytest.approx(
             base.success_probability, abs=1e-12)
         assert report.fidelity == pytest.approx(base.fidelity, abs=1e-12)
@@ -142,7 +169,7 @@ def test_fidelity_is_one_iff_magnitudes_equal(mags, degs):
         amps[basis.index_of(tuple(occ))] = m * np.exp(1j * np.deg2rad(d))
     state = QuantumState(basis, amps).normalized()
     table = evolve_state(np.eye(4), state)
-    report = extract_noon(table, 2)
+    report = extract_noon(table)
     spread = max(np.abs(amps[amps != 0])) - min(np.abs(amps[amps != 0]))
     if spread <= 1e-12:
         assert report.fidelity == pytest.approx(1.0, abs=1e-9)
@@ -201,7 +228,7 @@ def test_sweep_matches_extract_noon(operator_ii):
     basis = enumerate_basis(4, 3)
     for occ in [(0, 1, 1, 1), (3, 0, 0, 0), (1, 1, 1, 0)]:
         table = evolve_state(operator_ii, QuantumState.from_occupations(basis, occ))
-        direct = extract_noon(table, 3)
+        direct = extract_noon(table)
         assert rows[occ].success_probability == pytest.approx(
             direct.success_probability, abs=1e-12)
         assert rows[occ].fidelity == pytest.approx(direct.fidelity, abs=1e-12)
