@@ -7,24 +7,38 @@ second-quantized generator on the n-photon basis and serves as a cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, InputError, ShapeError
-from .fock import FockBasis, FockState, QuantumState, amplitude_row, state_to_spec
+from .fock import (FockBasis, FockState, QuantumState, amplitude_row, rank_descending,
+                   state_to_spec)
 from .unitary import matrix_exp, require_hermitian, require_square, require_unitary
 
 PERMANENT_CAP = 16
 
 
-def permanent(matrix) -> complex:
-    """Matrix permanent by Ryser's inclusion-exclusion with Gray-code subsets.
+@functools.cache
+def _glynn_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^(n-1) sign vectors with delta_0 = +1 as columns, and their sign products."""
+    k = np.arange(1 << (n - 1))
+    flips = (k >> np.arange(n - 1)[:, None]) & 1
+    deltas_t = np.vstack([np.ones((1, k.size)), 1.0 - 2.0 * flips])
+    return deltas_t, deltas_t.prod(axis=0)
 
-    O(2^n * n): comfortable for the desk-scale photon numbers this package
-    targets. The subset accumulation is compensated (Kahan) to hold the
-    1e-10 agreement with the brute-force permutation sum.
+
+def permanent(matrix) -> complex:
+    """Matrix permanent by Glynn's formula over all sign vectors at once.
+
+    per(A) = 2^-(n-1) sum_delta (prod_k delta_k) prod_j sum_i delta_i A[i,j],
+    summed over the 2^(n-1) vectors delta in {+1,-1}^n with delta_0 = +1
+    (Glynn 2010). That is one (n x n) @ (n x 2^(n-1)) product, a column
+    product and a dot: O(2^(n-1) * n) work, with no Python loop. The sign
+    table is cached per n; at n = PERMANENT_CAP = 16 it holds 4.25 MiB, and
+    the tables for every n up to the cap hold 8 MiB together.
     """
     a = require_square(matrix)
     n = a.shape[0]
@@ -33,34 +47,16 @@ def permanent(matrix) -> complex:
             f"permanent of a {n}x{n} matrix exceeds the cap of {PERMANENT_CAP}")
     if n == 0:
         return 1 + 0j
-
-    columns = a.T.copy()
-    row_sums = np.zeros(n, dtype=complex)
-    total = 0j
-    residue = 0j
-    gray = 0
-    for k in range(1, 1 << n):
-        next_gray = k ^ (k >> 1)
-        changed = gray ^ next_gray
-        j = changed.bit_length() - 1
-        if next_gray & changed:
-            row_sums += columns[j]
-        else:
-            row_sums -= columns[j]
-        gray = next_gray
-        term = row_sums.prod()
-        if k & 1:  # subset parity flips with every Gray step
-            term = -term
-        y = term - residue
-        t = total + y
-        residue = (t - total) - y
-        total = t
-    if n & 1:
-        total = -total
-    return complex(total)
+    deltas_t, signs = _glynn_signs(n)
+    # prod(axis=0) multiplies n long contiguous rows elementwise; the
+    # untransposed form reduces 2^(n-1) short rows, about 4x slower at n = 9.
+    return complex((a.T @ deltas_t).prod(axis=0) @ signs / 2 ** (n - 1))
 
 
 def _occupation_vector(occ, modes: int, role: str) -> tuple[int, ...]:
+    occ = tuple(occ)
+    if not all(type(n) is int or isinstance(n, np.integer) for n in occ):
+        raise ShapeError(f"{role} occupations must be integers: {occ}")
     occ = tuple(int(n) for n in occ)
     if len(occ) != modes:
         raise ShapeError(f"{role} state lists {len(occ)} modes, matrix has {modes}")
@@ -88,7 +84,7 @@ def transition_amplitude(matrix, state_in: FockState, state_out: FockState) -> c
         return 1 + 0j
     rows = np.repeat(np.arange(u.shape[0]), occ_out)
     cols = np.repeat(np.arange(u.shape[0]), occ_in)
-    sub = u[np.ix_(rows, cols)]
+    sub = u[rows[:, None], cols]
     norm = math.prod(math.factorial(k) for k in occ_in) * \
         math.prod(math.factorial(k) for k in occ_out)
     return permanent(sub) / math.sqrt(norm)
@@ -117,11 +113,11 @@ class TransitionTable(QuantumState):
     def sorted_components(self):
         """(occupations, amplitude) pairs sorted by descending magnitude.
 
-        Ties keep basis order, so the listing is deterministic.
+        Ties (within fock.TIE_TOLERANCE) keep basis order, so the listing is
+        deterministic.
         """
         pairs = [(occ, complex(a)) for occ, a in zip(self.basis.states, self.amplitudes)]
-        pairs.sort(key=lambda p: -abs(p[1]))
-        return pairs
+        return rank_descending(pairs, np.abs(self.amplitudes))
 
     def to_payload(self) -> dict:
         """Serialization payload; magnitudes and phases to 6 decimal places."""

@@ -17,6 +17,7 @@ FockState = tuple[int, ...]
 DEFAULT_STATE_CAP = 10_000_000
 CAP_ENV_VAR = "NOONFORGE_CAP"
 NEGLIGIBLE_AMPLITUDE = 1e-12
+TIE_TOLERANCE = 1e-12
 
 _TERM_RE = re.compile(
     r"^\s*(?:(?P<amp>[+-]?\d+(?:\.\d+)?)(?:@(?P<phase>[+-]?\d+(?:\.\d+)?))?\s*\*\s*)?"
@@ -165,6 +166,22 @@ def amplitude_row(occupations: FockState, amplitude: complex) -> dict:
         "mag": serialize.fixed(abs(amplitude), 6),
         "phase_deg": serialize.fixed(math.degrees(np.angle(amplitude)), 6),
     }
+
+
+def rank_descending(items, scores) -> list:
+    """`items` ordered by descending score, exact ties kept in the given order.
+
+    A score within TIE_TOLERANCE of the largest score in its tied group ranks
+    equal to it, so rounding noise in the last bits of a computed score (say
+    of two amplitudes a symmetry makes equal) cannot reorder the listing.
+    """
+    groups, top = [], None
+    for i in sorted(range(len(items)), key=lambda i: -scores[i]):
+        if top is None or top - scores[i] > TIE_TOLERANCE:
+            top = scores[i]
+            groups.append([])
+        groups[-1].append(i)
+    return [items[i] for group in groups for i in sorted(group)]
 
 
 def parse_occupations(text: str) -> FockState:

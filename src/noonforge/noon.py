@@ -18,7 +18,8 @@ import numpy as np
 from . import serialize
 from .errors import ShapeError, SpecError, ZeroProbabilityError
 from .evolve import TransitionTable, require_evolvable, transition_amplitude
-from .fock import FockBasis, FockState, QuantumState, amplitude_row, enumerate_basis
+from .fock import (FockBasis, FockState, QuantumState, amplitude_row, enumerate_basis,
+                   rank_descending)
 from .unitary import require_unitary
 
 ZERO_WEIGHT = 1e-24
@@ -181,19 +182,19 @@ def sweep_inputs(matrix, total_photons: int) -> list[tuple[FockState, NoonReport
     Each input is scored from its K bunched output amplitudes alone, as
     noon_report does; the reports are identical to running extract_noon on
     the full table. Inputs with no bunched weight get a
-    zero-success placeholder (fidelity 0) and rank last. Ties break on the
-    lexicographic order of the input occupations.
+    zero-success placeholder (fidelity 0) and rank last. Successes within
+    fock.TIE_TOLERANCE of their tied group's largest rank as equal and break
+    on the ascending lexicographic order of the input occupations.
     """
     if total_photons < 1:
         raise ShapeError("sweep needs at least one photon")
     u = require_unitary(matrix)
     modes = u.shape[0]
     rows = []
-    for occ in enumerate_basis(modes, total_photons).states:
+    for occ in reversed(enumerate_basis(modes, total_photons).states):
         try:
             report = _bunched_report(u, [(occ, 1)], total_photons)
         except ZeroProbabilityError:
             report = _zero_report(total_photons, modes)
         rows.append((occ, report))
-    rows.sort(key=lambda row: (-row[1].success_probability, row[0]))
-    return rows
+    return rank_descending(rows, [report.success_probability for _, report in rows])

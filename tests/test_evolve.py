@@ -13,6 +13,7 @@ from noonforge import (
     NotUnitaryError,
     QuantumState,
     ShapeError,
+    TransitionTable,
     effective_hamiltonian,
     enumerate_basis,
     evolution_operator,
@@ -46,8 +47,8 @@ def test_permanent_two_by_two():
 
 
 def test_permanent_all_ones_is_factorial():
-    assert permanent(np.ones((3, 3))) == pytest.approx(6.0)
-    assert permanent(np.ones((5, 5))) == pytest.approx(math.factorial(5))
+    for n in range(1, PERMANENT_CAP + 1):
+        assert permanent(np.ones((n, n))) == pytest.approx(math.factorial(n), rel=1e-10)
 
 
 def test_permanent_matches_naive_oracle_on_seeded_matrices():
@@ -76,6 +77,48 @@ def test_permanent_cap():
 def test_permanent_needs_square():
     with pytest.raises(ShapeError):
         permanent(np.ones((2, 3)))
+
+
+# Closed forms across the whole cap, where the permutation-sum oracle cannot
+# reach; test_permanent_all_ones_is_factorial is one of them.
+
+def _complex_vector(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", range(1, PERMANENT_CAP + 1))
+def test_permanent_of_rank_one(n):
+    rng = np.random.default_rng(RNG_SEED + n)
+    x, y = _complex_vector(rng, n), _complex_vector(rng, n)
+    expected = math.factorial(n) * np.prod(x) * np.prod(y)
+    assert permanent(np.outer(x, y)) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", range(1, PERMANENT_CAP + 1))
+def test_permanent_of_permuted_diagonal(n):
+    rng = np.random.default_rng(RNG_SEED + n)
+    d = _complex_vector(rng, n)
+    m = np.eye(n)[rng.permutation(n)] @ np.diag(d)
+    assert permanent(m) == pytest.approx(np.prod(d), rel=1e-10)
+
+
+def test_permanent_of_block_diagonal():
+    rng = np.random.default_rng(RNG_SEED)
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    m = np.zeros((16, 16), dtype=complex)
+    m[:8, :8], m[8:, 8:] = a, b
+    expected = naive_permanent(a) * naive_permanent(b)
+    assert permanent(m) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [complex, float, int])
+def test_permanent_leaves_its_argument_alone(dtype):
+    m = (np.arange(25).reshape(5, 5) % 4 - 1).astype(dtype)
+    before = m.copy()
+    assert permanent(m) == pytest.approx(naive_permanent(m), rel=1e-12)
+    assert m.dtype == dtype
+    assert np.array_equal(m, before)
 
 
 @pytest.mark.parametrize("call", [
@@ -119,6 +162,21 @@ def test_pair_amplitude_oriented_matches_quoted_value(splitter_ii, operator_ii):
     projected = transition_amplitude(operator_ii, (0, 0, 1, 1), (2, 0, 0, 0))
     assert abs(projected) == pytest.approx(0.339, abs=0.02)
     assert np.angle(projected, deg=True) == pytest.approx(48.0, abs=4.0)
+
+
+@pytest.mark.parametrize("role", ["input", "output"])
+@pytest.mark.parametrize("bad", [1.7, 1.0, np.float64(1.0), True, "1"],
+                         ids=["1.7", "1.0", "float64", "bool", "str"])
+def test_non_integer_occupation_rejected(role, bad):
+    other, state = (1, 0), (bad, 0)
+    pair = (state, other) if role == "input" else (other, state)
+    with pytest.raises(ShapeError, match=f"{role} occupations must be integers"):
+        transition_amplitude(np.eye(2), *pair)
+
+
+def test_numpy_integer_occupations_accepted(hadamard_splitter):
+    amp = transition_amplitude(hadamard_splitter, np.array([1, 1]), (np.int64(2), 0))
+    assert amp == pytest.approx(1 / math.sqrt(2))
 
 
 def test_photon_mismatch_rejected(hadamard_splitter):
@@ -223,6 +281,14 @@ def test_sorted_components_order(operator_ii):
     mags = [abs(a) for _, a in pairs]
     assert mags == sorted(mags, reverse=True)
     assert pairs[0][0] == (0, 0, 1, 1)
+
+
+def test_sorted_components_ties_keep_basis_order():
+    # |2,0> and |0,2> tie up to rounding noise, which must not reorder them.
+    basis = enumerate_basis(2, 2)
+    table = TransitionTable(basis, [0.6, 0.2, 0.6j * (1 + 1e-15)],
+                            input=QuantumState.from_occupations(basis, (1, 1)))
+    assert [occ for occ, _ in table.sorted_components()] == [(2, 0), (0, 2), (1, 1)]
 
 
 def test_evolution_operator_transposes(splitter_ii):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from noonforge import (
     sweep_inputs,
     unitarize,
 )
+from noonforge import noon
 from noonforge.noon import noon_components
 
 from oracles import haar_unitary
@@ -255,6 +258,23 @@ def test_sweep_tie_break_is_lexicographic():
     rows = sweep_inputs(np.eye(4), 2)
     top = [occ for occ, r in rows if r.success_probability > 0.5]
     assert top == sorted(top)
+
+
+def test_sweep_ties_ignore_rounding_noise(monkeypatch, splitter_i):
+    # Splitter I is symmetric, so many inputs tie exactly in success
+    # probability; perturbing every amplitude in its last bits must not
+    # reorder them, and tied inputs come in ascending order.
+    u = evolution_operator(unitarize(splitter_i))
+    expected = {n: sweep_inputs(u, n) for n in range(1, 7)}
+    for rows in expected.values():
+        for (occ_a, a), (occ_b, b) in zip(rows, rows[1:]):
+            if a.success_probability - b.success_probability <= 1e-12:
+                assert occ_a < occ_b
+    exact, calls = noon.transition_amplitude, itertools.count(1)
+    monkeypatch.setattr(noon, "transition_amplitude",
+                        lambda *args: exact(*args) * (1 + next(calls) * 1e-15))
+    for n, rows in expected.items():
+        assert [occ for occ, _ in sweep_inputs(u, n)] == [occ for occ, _ in rows]
 
 
 def test_sweep_validates_inputs(operator_ii):
