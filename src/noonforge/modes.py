@@ -9,7 +9,10 @@ wavelengths never interact.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 from typing import Literal
 
@@ -61,9 +64,11 @@ def parse_mode(text: str) -> Mode:
 class Subspace:
     """A wavelength-indexed four-port splitter over labeled modes.
 
-    Port index i of the matrix corresponds to input_modes[i] (columns) and
-    output_modes[i] (rows). Subspaces declared without a matrix are valid
-    registry entries but cannot drive an evolution.
+    `matrix` is the stored scattering matrix as loaded (``to_array()``): row
+    i holds the output distribution of input_modes[i], and column j belongs to
+    output_modes[j]. ``evolution_operator`` transposes it for Fock evolution.
+    Subspaces declared without a matrix are valid registry entries but cannot
+    drive an evolution.
     """
 
     label: str
@@ -100,8 +105,12 @@ def build_subspace(label: str, wavelength_nm: float, input_modes, output_modes,
         raise SubspaceError(f"{label}: duplicate input modes")
     if len(set(outputs)) != 4:
         raise SubspaceError(f"{label}: duplicate output modes")
-    if wavelength_nm <= 0:
-        raise SubspaceError(f"{label}: wavelength must be positive")
+    if (isinstance(wavelength_nm, bool)
+            or not isinstance(wavelength_nm, (numbers.Real, Decimal))
+            or not math.isfinite(wavelength_nm) or wavelength_nm <= 0):
+        raise SubspaceError(
+            f"{label}: wavelength must be a finite positive number, "
+            f"got {wavelength_nm!r}")
 
     in_set, out_set = set(inputs), set(outputs)
     if in_set == out_set:
@@ -182,7 +191,7 @@ def load_subspace(path) -> Subspace:
         raise SubspaceError(f"{path}: subspace file must contain a JSON object")
     try:
         label = str(doc["label"])
-        wavelength = float(doc["wavelength_nm"])
+        wavelength = doc["wavelength_nm"]
         inputs = [parse_mode(s) for s in doc["inputs"]]
         outputs = [parse_mode(s) for s in doc["outputs"]]
     except KeyError as exc:

@@ -32,10 +32,6 @@ def sci(value: float) -> RawNumber:
     return RawNumber(f"{value:.6e}")
 
 
-def decimal_token(value: Decimal) -> RawNumber:
-    return RawNumber(str(value))
-
-
 def loads(text: str):
     """Parse JSON with floats preserved as Decimal."""
     try:
@@ -70,20 +66,20 @@ def _is_simple(value) -> bool:
     return False
 
 
-def _emit(value, level: int, indent: int) -> str:
+def _emit(value, level: int) -> str:
     token = _scalar(value)
     if token is not None:
         return token
-    pad = " " * (indent * (level + 1))
-    close = " " * (indent * level)
+    pad = "  " * (level + 1)
+    close = "  " * level
     if isinstance(value, dict):
-        items = [f"{json.dumps(str(k))}: {_emit(v, level + 1, indent)}"
+        items = [f"{json.dumps(str(k))}: {_emit(v, level + 1)}"
                  for k, v in value.items()]
         if _is_simple(value):
             return "{" + ", ".join(items) + "}"
         return "{\n" + ",\n".join(pad + it for it in items) + "\n" + close + "}"
     if isinstance(value, (list, tuple)):
-        items = [_emit(v, level + 1, indent) for v in value]
+        items = [_emit(v, level + 1) for v in value]
         if _is_simple(value):
             return "[" + ", ".join(items) + "]"
         return "[\n" + ",\n".join(pad + it for it in items) + "\n" + close + "]"
@@ -92,4 +88,4 @@ def _emit(value, level: int, indent: int) -> str:
 
 def dumps(value) -> str:
     """Render a payload as deterministic JSON text (two-space indent, trailing newline)."""
-    return _emit(value, 0, 2) + "\n"
+    return _emit(value, 0) + "\n"

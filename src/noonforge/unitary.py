@@ -12,11 +12,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from . import serialize
 from .errors import (
@@ -35,14 +34,14 @@ BRANCH_CUT_TOL = 1e-12
 
 
 def _as_decimal(value) -> Decimal:
+    """A Decimal, int or float as Decimal; anything else (bool, str, list) is refused."""
     if isinstance(value, Decimal):
         return value
     if isinstance(value, float):
-        return Decimal(repr(value))
-    try:
+        return Decimal(repr(float(value)))
+    if isinstance(value, int) and not isinstance(value, bool):
         return Decimal(value)
-    except (InvalidOperation, TypeError):
-        raise MatrixFileError(f"not a decimal value: {value!r}") from None
+    raise MatrixFileError(f"not a decimal value: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -255,15 +254,18 @@ def effective_hamiltonian(matrix) -> np.ndarray:
     principal branch is ambiguous.
     """
     u = require_unitary(matrix)
-    # Schur of a unitary matrix is a diagonalization with an exactly unitary
-    # eigenbasis, so the reconstructed generator is Hermitian to rounding.
-    t, q = scipy.linalg.schur(u, output="complex")
-    eigvals = np.diag(t)
+    # A unitary matrix is normal: eigenvectors of distinct eigenvalues are
+    # orthogonal, so QR of the eigenvector matrix only orthonormalizes inside
+    # each eigenspace (or tight cluster) and yields an exactly unitary
+    # eigenbasis; the reconstructed generator is Hermitian to rounding.
+    eigvals, vecs = np.linalg.eig(u)
     if np.any(np.abs(eigvals + 1.0) <= BRANCH_CUT_TOL):
         raise BranchCutError(
             "unitary has an eigenvalue at -1 (log branch cut); perturb the "
             "matrix slightly before extracting a generator")
-    a = q @ np.diag(-np.angle(eigvals)) @ q.conj().T
+    q, _ = np.linalg.qr(vecs)
+    angles = np.angle(np.sum(q.conj() * (u @ q), axis=0))  # diag(q^H u q)
+    a = q @ np.diag(-angles) @ q.conj().T
     return 0.5 * (a + a.conj().T)
 
 
@@ -347,17 +349,13 @@ def load_matrix(path) -> MatrixFile:
 
 
 def dumps_matrix(mf: MatrixFile) -> str:
-    payload: dict = {"dim": mf.dim, "label": mf.label}
-    payload["entries"] = [
-        {"mag": serialize.decimal_token(e.magnitude),
-         "phase_deg": serialize.decimal_token(e.phase_deg)}
-        for e in mf.entries
-    ]
+    payload: dict = {
+        "dim": mf.dim,
+        "label": mf.label,
+        "entries": [{"mag": e.magnitude, "phase_deg": e.phase_deg} for e in mf.entries],
+    }
     if mf.meta is not None:
-        payload["meta"] = {
-            str(k): serialize.decimal_token(v) if isinstance(v, Decimal) else v
-            for k, v in sorted(mf.meta.items())
-        }
+        payload["meta"] = {str(k): v for k, v in sorted(mf.meta.items())}
     return serialize.dumps(payload)
 
 

@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import scipy.linalg
 
 
 def naive_permanent(matrix) -> complex:
@@ -48,3 +49,10 @@ def random_fock_input(modes: int, photons: int, rng: np.random.Generator) -> tup
     for port in rng.integers(0, modes, size=photons):
         occ[port] += 1
     return tuple(occ)
+
+
+def schur_generator(unitary) -> np.ndarray:
+    """Hermitian A with exp(-iA) = U from a complex Schur form of U."""
+    t, q = scipy.linalg.schur(np.asarray(unitary, dtype=complex), output="complex")
+    a = q @ np.diag(-np.angle(np.diag(t))) @ q.conj().T
+    return 0.5 * (a + a.conj().T)

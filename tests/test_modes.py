@@ -10,6 +10,7 @@ from noonforge import (
     SubspaceError,
     build_subspace,
     check_independence,
+    load_subspace,
     parse_mode,
     port_of,
     reference,
@@ -123,3 +124,23 @@ def test_port_of_is_a_bijection():
 def test_bundled_subspace_matrices_match_files(splitter_i, splitter_ii):
     assert np.array_equal(reference.bundled_subspace("I").matrix, splitter_i)
     assert np.array_equal(reference.bundled_subspace("II").matrix, splitter_ii)
+
+
+@pytest.mark.parametrize("bad", [
+    float("nan"), float("inf"), -float("inf"), 0.0, -1.0, True, "1500", None, [1500.0],
+])
+def test_wavelength_must_be_finite_positive_number(bad):
+    with pytest.raises(SubspaceError):
+        build_subspace("bad", bad, SUBSPACE_I_MODES, SUBSPACE_I_MODES)
+
+
+@pytest.mark.parametrize("bad", [
+    '"abc"', "[1]", "true", "null", "NaN", "Infinity", "-1", "0",
+])
+def test_load_subspace_rejects_bad_wavelength(bad, tmp_path):
+    path = tmp_path / "subspace.json"
+    path.write_text('{"label": "X", "wavelength_nm": ' + bad + ', '
+                    '"inputs": ["L:d:-1", "R:d:+1", "L:a:+1", "R:a:-1"], '
+                    '"outputs": ["L:d:-1", "R:d:+1", "L:a:+1", "R:a:-1"]}')
+    with pytest.raises(SubspaceError):
+        load_subspace(path)

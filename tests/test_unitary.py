@@ -26,9 +26,10 @@ from noonforge import (
     unitarize,
     validate_symmetry,
 )
+from noonforge.cli import main
 from noonforge.unitary import dumps_matrix, load_matrix, loads_matrix
 
-from oracles import haar_unitary
+from oracles import haar_unitary, schur_generator
 
 RNG_SEED = 20260811
 
@@ -242,6 +243,33 @@ def test_log_exp_roundtrip(splitter_ii):
         assert np.max(np.abs(scipy.linalg.expm(-1j * a) - u)) <= 1e-9
 
 
+@pytest.mark.parametrize("thetas", [
+    pytest.param([0.4, 0.4, 0.4, -2.0, 1.9], id="degenerate_triple"),
+    pytest.param([1.1, 1.1 + 0.5e-10, 1.1 + 1e-10, -0.3], id="cluster_1e-10"),
+    pytest.param([np.pi - 1e-9, -np.pi + 1e-9, 0.2, -1.5], id="near_cut_both_sides"),
+    pytest.param(None, id="haar_16"),
+])
+def test_generator_of_hard_spectra(thetas):
+    rng = np.random.default_rng(RNG_SEED + 1)
+    if thetas is None:
+        u = haar_unitary(16, rng)
+    else:
+        v = haar_unitary(len(thetas), rng)
+        u = (v * np.exp(1j * np.array(thetas))) @ v.conj().T
+    a = effective_hamiltonian(u)
+    assert np.max(np.abs(scipy.linalg.expm(-1j * a) - u)) <= 1e-12
+    eigs = np.linalg.eigvalsh(a)
+    assert np.all(eigs > -np.pi) and np.all(eigs <= np.pi)
+
+
+def test_generator_matches_schur_log(splitter_i, splitter_ii):
+    rng = np.random.default_rng(RNG_SEED)
+    matrices = [unitarize(splitter_i), unitarize(splitter_ii)]
+    matrices += [haar_unitary(4, rng) for _ in range(20)]
+    for u in matrices:
+        assert np.max(np.abs(effective_hamiltonian(u) - schur_generator(u))) <= 1e-12
+
+
 # --- matrix files -----------------------------------------------------------
 
 def test_bundled_files_roundtrip_bit_exact():
@@ -277,3 +305,37 @@ def test_load_matrix_missing_file(tmp_path):
 def test_malformed_matrix_files(text):
     with pytest.raises(MatrixFileError):
         loads_matrix(text)
+
+
+NOT_A_NUMBER = ["[1]", "true", "false", "[0, [1], 0]", '"0.5"', "null", "{}"]
+
+
+def _matrix_text(bad: str, field: str) -> str:
+    """A 2x2 identity matrix file whose first entry's `field` is `bad`."""
+    first = {"mag": "1", "phase_deg": "0"}
+    first[field] = bad
+    cells = [f'{{"mag": {first["mag"]}, "phase_deg": {first["phase_deg"]}}}',
+             '{"mag": 0, "phase_deg": 0}', '{"mag": 0, "phase_deg": 0}',
+             '{"mag": 1, "phase_deg": 0}']
+    return '{"dim": 2, "label": "x", "entries": [' + ", ".join(cells) + "]}"
+
+
+@pytest.mark.parametrize("field", ["mag", "phase_deg"])
+@pytest.mark.parametrize("bad", NOT_A_NUMBER)
+def test_matrix_values_must_be_numbers(bad, field):
+    with pytest.raises(MatrixFileError):
+        loads_matrix(_matrix_text(bad, field))
+
+
+@pytest.mark.parametrize("bad", NOT_A_NUMBER)
+def test_unitarize_rejects_non_numeric_value_with_exit_2(bad, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(_matrix_text(bad, "mag"))
+    assert main(["unitarize", "--matrix", str(path),
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_polar_entry_accepts_numpy_float():
+    entry = PolarEntry(np.float64(0.5), np.float64(-44.0))
+    assert entry == PolarEntry(Decimal("0.5"), Decimal("-44.0"))
