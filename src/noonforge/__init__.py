@@ -10,7 +10,6 @@ from .errors import (
     CapacityError,
     InputError,
     MatrixFileError,
-    ModeNotFoundError,
     NoonforgeError,
     NotHermitianError,
     NotUnitaryError,
@@ -18,7 +17,6 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
     SpecError,
-    SubspaceError,
     ZeroProbabilityError,
 )
 from .evolve import (
@@ -38,24 +36,9 @@ from .fock import (
     parse_occupations,
     state_from_spec,
 )
-from .modes import (
-    Conflict,
-    Mode,
-    Polarization,
-    Side,
-    Subspace,
-    build_subspace,
-    check_independence,
-    load_subspace,
-    parse_mode,
-    port_of,
-)
 from .noon import (
     NoonReport,
-    apply_phase_shifts,
     extract_noon,
-    fidelity_against,
-    ideal_noon_state,
     noon_report,
     post_select,
     sweep_inputs,
@@ -80,53 +63,38 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchCutError",
     "CapacityError",
-    "Conflict",
     "FockBasis",
     "FockState",
     "InputError",
     "MatrixFile",
     "MatrixFileError",
-    "Mode",
-    "ModeNotFoundError",
     "NoonReport",
     "NoonforgeError",
     "NotHermitianError",
     "NotUnitaryError",
     "NumericError",
-    "Polarization",
     "PolarEntry",
     "QuantumState",
     "ShapeError",
-    "Side",
     "SingularMatrixError",
     "SpecError",
-    "Subspace",
-    "SubspaceError",
     "SymmetryPattern",
     "SymmetryViolation",
     "TransitionTable",
     "ZeroProbabilityError",
-    "apply_phase_shifts",
-    "build_subspace",
-    "check_independence",
     "effective_hamiltonian",
     "enumerate_basis",
     "evolution_operator",
     "evolve_state",
     "evolve_state_hamiltonian",
     "extract_noon",
-    "fidelity_against",
     "fock_hamiltonian",
     "from_polar",
-    "ideal_noon_state",
     "load_matrix",
-    "load_subspace",
     "matrix_exp",
     "noon_report",
-    "parse_mode",
     "parse_occupations",
     "permanent",
-    "port_of",
     "post_select",
     "save_matrix",
     "state_from_spec",

@@ -22,20 +22,12 @@ class SpecError(InputError):
     """Malformed ket/superposition spec or invalid selection."""
 
 
-class SubspaceError(InputError):
-    """Inconsistent subspace declaration."""
-
-
-class ModeNotFoundError(InputError):
-    """Mode absent from the queried port list."""
-
-
 class CapacityError(InputError):
     """Requested computation exceeds the configured size cap."""
 
 
 class MatrixFileError(InputError):
-    """Matrix or subspace file failed to parse or validate."""
+    """Matrix file failed to parse or validate."""
 
 
 class NumericError(NoonforgeError):

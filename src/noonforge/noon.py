@@ -11,7 +11,7 @@ noon_report and sweep_inputs compute just those.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,38 +137,6 @@ def post_select(table: TransitionTable, kept) -> tuple[QuantumState, float]:
         amps[i] = table.amplitudes[i]
     state = QuantumState(table.basis, amps / math.sqrt(probability)).canonical()
     return state, probability
-
-
-def fidelity_against(state: QuantumState, target: QuantumState) -> float:
-    """Pure-state overlap |<target|state>|^2."""
-    if state.basis != target.basis:
-        raise ShapeError("states live on different bases")
-    if not state.is_normalized() or not target.is_normalized():
-        raise SpecError("fidelity is defined for normalized states")
-    return float(abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2)
-
-
-def ideal_noon_state(modes: int, photons: int) -> QuantumState:
-    """The equal-superposition target (1/sqrt(K)) sum_j |N e_j>."""
-    basis = enumerate_basis(modes, photons)
-    amps = np.zeros(len(basis), dtype=complex)
-    for occ in noon_components(basis):
-        amps[basis.index_of(occ)] = 1 / math.sqrt(modes)
-    return QuantumState(basis, amps)
-
-
-def apply_phase_shifts(obj, phases_deg):
-    """Apply per-port phase shifters: |..n_j..> gains exp(i n_j theta_j).
-
-    Accepts a QuantumState or a TransitionTable and returns the same kind.
-    """
-    if not isinstance(obj, QuantumState):
-        raise TypeError(f"cannot phase-shift {type(obj).__name__}")
-    phases = np.asarray(phases_deg, dtype=float)
-    if phases.shape != (obj.basis.modes,):
-        raise ShapeError(f"need one phase per port, got shape {phases.shape}")
-    factors = np.exp(1j * np.radians(np.array(obj.basis.states) @ phases))
-    return replace(obj, amplitudes=obj.amplitudes * factors)
 
 
 def _zero_report(photons: int, modes: int) -> NoonReport:

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import NoonforgeError
 from .evolve import evolution_operator, evolve_state
 from .fock import format_occupations, state_from_spec
-from .modes import Subspace, load_subspace
 from .noon import extract_noon, post_select, sweep_inputs
 from .unitary import MatrixFile, SymmetryPattern, load_matrix, unitarize, validate_symmetry
 
@@ -29,11 +28,6 @@ SPLITTER_II = "splitter_ii"
 _MATRIX_FILES = {
     SPLITTER_I: "splitter_i.json",
     SPLITTER_II: "splitter_ii.json",
-}
-_SUBSPACE_FILES = {
-    "I": "subspace_i.json",
-    "II": "subspace_ii.json",
-    "III": "subspace_iii.json",
 }
 
 
@@ -49,15 +43,6 @@ def bundled_matrix(name: str) -> MatrixFile:
     except KeyError:
         raise KeyError(f"no bundled matrix named {name!r}") from None
     return load_matrix(data_path(filename))
-
-
-def bundled_subspace(label: str) -> Subspace:
-    """Load a bundled subspace declaration ("I", "II" or "III")."""
-    try:
-        filename = _SUBSPACE_FILES[label]
-    except KeyError:
-        raise KeyError(f"no bundled subspace labeled {label!r}") from None
-    return load_subspace(data_path(filename))
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,18 @@ def sci(value: float) -> RawNumber:
     return RawNumber(f"{value:.6e}")
 
 
+def _reject_constant(token: str):
+    raise MatrixFileError(f"invalid JSON: {token} is not a JSON number")
+
+
 def loads(text: str):
-    """Parse JSON with floats preserved as Decimal."""
+    """Parse standard JSON with floats preserved as Decimal.
+
+    Python's json also reads the tokens NaN, Infinity and -Infinity, which
+    dumps would then write back out as text no JSON reader accepts.
+    """
     try:
-        return json.loads(text, parse_float=Decimal)
+        return json.loads(text, parse_float=Decimal, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise MatrixFileError(f"invalid JSON: {exc}") from exc
 

@@ -1,9 +1,15 @@
 """Independent oracles, kept away from the production code paths they check."""
 
 import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
+
+from noonforge.errors import ShapeError, SpecError
+from noonforge.fock import QuantumState, enumerate_basis
+from noonforge.noon import noon_components
 
 
 def naive_permanent(matrix) -> complex:
@@ -56,3 +62,35 @@ def schur_generator(unitary) -> np.ndarray:
     t, q = scipy.linalg.schur(np.asarray(unitary, dtype=complex), output="complex")
     a = q @ np.diag(-np.angle(np.diag(t))) @ q.conj().T
     return 0.5 * (a + a.conj().T)
+
+
+def fidelity_against(state: QuantumState, target: QuantumState) -> float:
+    """Pure-state overlap |<target|state>|^2."""
+    if state.basis != target.basis:
+        raise ShapeError("states live on different bases")
+    if not state.is_normalized() or not target.is_normalized():
+        raise SpecError("fidelity is defined for normalized states")
+    return float(abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2)
+
+
+def ideal_noon_state(modes: int, photons: int) -> QuantumState:
+    """The equal-superposition target (1/sqrt(K)) sum_j |N e_j>."""
+    basis = enumerate_basis(modes, photons)
+    amps = np.zeros(len(basis), dtype=complex)
+    for occ in noon_components(basis):
+        amps[basis.index_of(occ)] = 1 / math.sqrt(modes)
+    return QuantumState(basis, amps)
+
+
+def apply_phase_shifts(obj, phases_deg):
+    """Apply per-port phase shifters: |..n_j..> gains exp(i n_j theta_j).
+
+    Accepts a QuantumState or a TransitionTable and returns the same kind.
+    """
+    if not isinstance(obj, QuantumState):
+        raise TypeError(f"cannot phase-shift {type(obj).__name__}")
+    phases = np.asarray(phases_deg, dtype=float)
+    if phases.shape != (obj.basis.modes,):
+        raise ShapeError(f"need one phase per port, got shape {phases.shape}")
+    factors = np.exp(1j * np.radians(np.array(obj.basis.states) @ phases))
+    return replace(obj, amplitudes=obj.amplitudes * factors)

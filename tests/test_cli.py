@@ -80,6 +80,17 @@ def test_unitarize_singular_matrix(run, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_unitarize_rejects_non_standard_json_constants(run, tmp_path, token):
+    path = tmp_path / "constant.json"
+    text = reference.data_path("splitter_ii.json").read_text()
+    path.write_text(text.replace('"meta": {', f'"meta": {{"note": {token}, ', 1))
+    out_path = tmp_path / "out.json"
+    code, _ = run("unitarize", "--matrix", str(path), "--out", str(out_path))
+    assert code == 2
+    assert not out_path.exists()
+
+
 # --- evolve --------------------------------------------------------------------
 
 def test_evolve_pair_input(run):

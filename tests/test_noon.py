@@ -11,14 +11,11 @@ from noonforge import (
     ShapeError,
     SpecError,
     ZeroProbabilityError,
-    apply_phase_shifts,
     TransitionTable,
     enumerate_basis,
     evolution_operator,
     evolve_state,
     extract_noon,
-    fidelity_against,
-    ideal_noon_state,
     noon_report,
     post_select,
     state_from_spec,
@@ -28,7 +25,7 @@ from noonforge import (
 from noonforge import noon
 from noonforge.noon import noon_components
 
-from oracles import haar_unitary
+from oracles import apply_phase_shifts, fidelity_against, haar_unitary, ideal_noon_state
 
 RNG_SEED = 77
 

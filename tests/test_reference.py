@@ -6,6 +6,7 @@ against an independent transcription kept in this file.
 """
 
 import hashlib
+from importlib import resources
 
 from noonforge import reference
 
@@ -14,9 +15,6 @@ import test_acceptance
 FILE_SHA256 = {
     "splitter_i.json": "425889767a3fd3db33e6962bbe5f5d39115d26058e044c94bd7fe67b9af40da2",
     "splitter_ii.json": "fc5e1ca7d6224f59a8a50f6bbbe4505582df16925c3569a79f0cff4825dd415b",
-    "subspace_i.json": "49ecf1a67bf5fc167901985b21d8fa1a73fab80f1f1d29116bd03da0ac97d4c6",
-    "subspace_ii.json": "c46808da73e0801ac81035a49d1c36403d23979b40a960957a44b50f465a1a54",
-    "subspace_iii.json": "ad1206ff986e95a75eb61080b3cc3b6746dd1e08429756dd0be2c610f470718e",
 }
 
 # Row-major (magnitude, phase_deg) strings, transcribed independently of the
@@ -37,6 +35,9 @@ SPLITTER_II_ENTRIES = [
 
 
 def test_data_file_checksums():
+    on_disk = {path.name for path in resources.files("noonforge").joinpath("data").iterdir()
+               if path.name.endswith(".json")}
+    assert on_disk == set(FILE_SHA256), "data/ holds unpinned or missing files"
     for filename, expected in FILE_SHA256.items():
         digest = hashlib.sha256(reference.data_path(filename).read_bytes()).hexdigest()
         assert digest == expected, f"{filename} changed on disk"

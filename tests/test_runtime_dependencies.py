@@ -1,4 +1,4 @@
-"""numpy is the only runtime dependency: the CLI and the library run without scipy."""
+"""The package surface: its public names, and numpy as its only runtime dependency."""
 
 import os
 import subprocess
@@ -30,3 +30,9 @@ def test_cli_and_generator_run_without_scipy():
     result = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_public_api_resolves():
+    assert len(noonforge.__all__) == len(set(noonforge.__all__))
+    missing = [name for name in noonforge.__all__ if not hasattr(noonforge, name)]
+    assert missing == []
