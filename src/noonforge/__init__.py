@@ -46,10 +46,7 @@ from .noon import (
 from .unitary import (
     MatrixFile,
     PolarEntry,
-    SymmetryPattern,
-    SymmetryViolation,
     effective_hamiltonian,
-    from_polar,
     load_matrix,
     matrix_exp,
     save_matrix,
@@ -78,8 +75,6 @@ __all__ = [
     "ShapeError",
     "SingularMatrixError",
     "SpecError",
-    "SymmetryPattern",
-    "SymmetryViolation",
     "TransitionTable",
     "ZeroProbabilityError",
     "effective_hamiltonian",
@@ -89,7 +84,6 @@ __all__ = [
     "evolve_state_hamiltonian",
     "extract_noon",
     "fock_hamiltonian",
-    "from_polar",
     "load_matrix",
     "matrix_exp",
     "noon_report",

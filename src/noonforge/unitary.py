@@ -9,7 +9,6 @@ radians internally.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -66,25 +65,6 @@ class PolarEntry:
     @property
     def value(self) -> complex:
         return float(self.magnitude) * np.exp(1j * math.radians(float(self.phase_deg)))
-
-
-def from_polar(entries) -> np.ndarray:
-    """Build a complex matrix from a square grid of PolarEntry (or (mag, deg) pairs)."""
-    rows = list(entries)
-    dim = len(rows)
-    if dim < 2:
-        raise ShapeError(f"matrix must be at least 2x2, got {dim} rows")
-    matrix = np.empty((dim, dim), dtype=complex)
-    for r, row in enumerate(rows):
-        cells = list(row)
-        if len(cells) != dim:
-            raise ShapeError(f"row {r} has {len(cells)} entries, expected {dim}")
-        for c, cell in enumerate(cells):
-            if not isinstance(cell, PolarEntry):
-                mag, deg = cell
-                cell = PolarEntry(mag, deg)
-            matrix[r, c] = cell.value
-    return matrix
 
 
 def require_square(matrix) -> np.ndarray:
@@ -152,11 +132,6 @@ def unitarize(matrix) -> np.ndarray:
     return w @ vh
 
 
-class PatternKind(enum.Enum):
-    SUBSPACE_I = "subspace-I"
-    SUBSPACE_II = "subspace-II"
-
-
 # Entry-equality pairs implied by a splitter with two independent processes:
 # each process stamps one (magnitude, phase) pair into two positions.
 _SUBSPACE_I_PAIRS = (
@@ -171,79 +146,31 @@ _SUBSPACE_I_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class SymmetryPattern:
-    """Expected internal structure of a 4x4 splitter matrix."""
-
-    kind: PatternKind
-    equality_pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-    @classmethod
-    def subspace_i(cls) -> "SymmetryPattern":
-        """Shared-process pattern: 8 pairwise-equal entry positions."""
-        return cls(PatternKind.SUBSPACE_I, _SUBSPACE_I_PAIRS)
-
-    @classmethod
-    def subspace_ii(cls) -> "SymmetryPattern":
-        """Four independent processes: no equal entries, columns normalized."""
-        return cls(PatternKind.SUBSPACE_II, ())
-
-
-@dataclass(frozen=True)
-class SymmetryViolation:
-    kind: str
-    location: tuple
-    deviation: float
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.kind} at {self.location}: {self.detail}"
-
-
 def _wrap_degrees(delta: float) -> float:
     return (delta + 180.0) % 360.0 - 180.0
 
 
-def validate_symmetry(matrix, pattern: SymmetryPattern, tol_mag: float,
-                      tol_phase_deg: float) -> list[SymmetryViolation]:
-    """Check a 4x4 splitter against its expected symmetry pattern.
+def validate_symmetry(matrix, tol_mag: float, tol_phase_deg: float) -> list:
+    """The shared-process entry pairs of a 4x4 splitter that do not match.
 
-    Equality-pair patterns report one violation per pair whose entries differ
-    by more than `tol_mag` in magnitude or `tol_phase_deg` in phase. The
-    independent-process pattern instead checks each column norm against 1
-    within `tol_mag`. Both tolerances must be finite and non-negative.
+    Returns each pair of `_SUBSPACE_I_PAIRS`, in order, whose two entries
+    differ by more than `tol_mag` in magnitude or `tol_phase_deg` in phase.
+    Both tolerances must be finite and non-negative.
     """
     for name, tol in (("tol_mag", tol_mag), ("tol_phase_deg", tol_phase_deg)):
         if not (math.isfinite(tol) and tol >= 0):
             raise InputError(f"{name} must be finite and non-negative, got {tol}")
     m = _finite_square(matrix)
     if m.shape[0] != 4:
-        raise ShapeError(f"symmetry patterns are defined for 4x4 matrices, got {m.shape}")
-    for (r1, c1), (r2, c2) in pattern.equality_pairs:
-        if max(r1, c1, r2, c2) >= m.shape[0]:
-            raise ShapeError(f"pattern index out of range for shape {m.shape}")
-
-    violations = []
-    if pattern.kind is PatternKind.SUBSPACE_II:
-        for c in range(m.shape[1]):
-            norm = float(np.linalg.norm(m[:, c]))
-            dev = abs(norm - 1.0)
-            if dev > tol_mag:
-                violations.append(SymmetryViolation(
-                    "column_norm", (c,), dev,
-                    f"column {c} has norm {norm:.4f}, expected 1 within {tol_mag}"))
-        return violations
-
-    for pair in pattern.equality_pairs:
-        (r1, c1), (r2, c2) = pair
-        a, b = m[r1, c1], m[r2, c2]
+        raise ShapeError(f"shared-process pairs are defined for 4x4 matrices, got {m.shape}")
+    mismatched = []
+    for pair in _SUBSPACE_I_PAIRS:
+        a, b = m[pair[0]], m[pair[1]]
         dmag = abs(abs(a) - abs(b))
         dphase = abs(_wrap_degrees(math.degrees(np.angle(a) - np.angle(b))))
         if dmag > tol_mag or dphase > tol_phase_deg:
-            violations.append(SymmetryViolation(
-                "entry_pair", pair, max(dmag, dphase),
-                f"{pair[0]} vs {pair[1]}: d|.|={dmag:.4f}, dphase={dphase:.2f} deg"))
-    return violations
+            mismatched.append(pair)
+    return mismatched
 
 
 def effective_hamiltonian(matrix) -> np.ndarray:
@@ -297,8 +224,8 @@ class MatrixFile:
                 f"expected {self.dim * self.dim} entries, got {len(self.entries)}")
 
     def to_array(self) -> np.ndarray:
-        grid = [self.entries[r * self.dim:(r + 1) * self.dim] for r in range(self.dim)]
-        return from_polar(grid)
+        return np.array([e.value for e in self.entries], dtype=complex).reshape(
+            self.dim, self.dim)
 
     @classmethod
     def from_array(cls, matrix, label: str, meta: dict | None = None) -> "MatrixFile":
@@ -339,8 +266,8 @@ def loads_matrix(text: str) -> MatrixFile:
 def load_matrix(path) -> MatrixFile:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixFileError(f"cannot read matrix file {path}: {exc}") from exc
     try:
         return loads_matrix(text)

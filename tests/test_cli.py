@@ -3,6 +3,7 @@ import pytest
 
 from noonforge import MatrixFile, cli, reference, save_matrix, serialize
 from noonforge.cli import main
+from noonforge.fock import state_from_spec
 
 SPLITTER_II_PATH = str(reference.data_path("splitter_ii.json"))
 
@@ -118,6 +119,18 @@ def test_evolve_json_is_deterministic(run):
     assert first == second
 
 
+def test_evolve_superposition_input_round_trips(run):
+    spec = "0.6*|1,1,0,0> + 0.8@30*|0,0,1,1>"
+    code, output = run("evolve", "--json", "--matrix", SPLITTER_II_PATH, "--input", spec)
+    assert code == 0
+    echoed = serialize.loads(output)["input"]
+    assert echoed == "0.600000*|1,1,0,0> + 0.800000@30.00*|0,0,1,1>"
+    basis, state = state_from_spec(spec)
+    echoed_basis, echoed_state = state_from_spec(echoed)
+    assert echoed_basis == basis
+    assert np.allclose(echoed_state.amplitudes, state.amplitudes, rtol=0, atol=1e-15)
+
+
 def test_evolve_wrong_mode_count(run):
     code, _ = run("evolve", "--matrix", SPLITTER_II_PATH, "--input", "0,0,1")
     assert code == 2
@@ -144,6 +157,21 @@ def test_noon_four_photons(run):
     assert 0.317 <= float(payload["success_probability"]) <= 0.368
     assert float(payload["fidelity"]) >= 0.995
     assert len(payload["components"]) == 4
+
+
+def test_noon_text_output(run):
+    code, output = run("noon", "--matrix", SPLITTER_II_PATH, "--input", "1,1,1,1")
+    assert code == 0
+    assert output == (
+        "matrix: splitter-II   input: 1,1,1,1\n"
+        "photons: 4   modes: 4\n"
+        "success probability: 0.3415\n"
+        "fidelity           : 0.9999\n"
+        "bunched components:\n"
+        "  |4,0,0,0>  mag 0.2935  normalized 0.5023  shifter   +11 deg\n"
+        "  |0,4,0,0>  mag 0.2949  normalized 0.5047  shifter   +27 deg\n"
+        "  |0,0,4,0>  mag 0.2890  normalized 0.4946  shifter   -36 deg\n"
+        "  |0,0,0,4>  mag 0.2912  normalized 0.4983  shifter   +17 deg\n")
 
 
 def test_noon_select_same_side_pairs(run):
@@ -245,7 +273,30 @@ def test_reproduce_corrupted_file(run, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_reproduce_permutation_fails_same_side_branch(run, tmp_path):
+    # port 0 -> 1, 1 -> 3, 2 -> 0, 3 -> 2 sends |0,0,1,1> to |1,0,1,0>, which
+    # holds no weight on either same-side pair
+    perm = np.zeros((4, 4))
+    for src, dst in {0: 1, 1: 3, 2: 0, 3: 2}.items():
+        perm[dst, src] = 1.0
+    path = tmp_path / "perm.json"
+    save_matrix(path, MatrixFile.from_array(perm, "permutation"))
+    code, output = run("reproduce", "--matrix", str(path))
+    assert code == 1
+    assert ("[FAIL] same-side pair branch: error: post-selection kept zero probability "
+            "(expected probability in [0.44, 0.52])") in output.splitlines()
+
+
+def test_undecodable_matrix_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    for argv in (["evolve", "--matrix", str(path), "--input", "1,1"],
+                 ["reproduce", "--matrix", str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("noonforge: input error:")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "abc"])
 def test_reproduce_rejects_bad_tolerance(run, tol):
     with pytest.raises(SystemExit) as exc:
         run("reproduce", "--tol", tol)

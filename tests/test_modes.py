@@ -2,14 +2,13 @@
 
 Each bundled splitter file names its subspace and wavelength in `meta`, and
 `unitarize` must carry those labels through to the file it writes; the
-subspace symmetry patterns still apply to four-port matrices only.
+shared-process entry-pair check still applies to four-port matrices only.
 """
 
 import numpy as np
 import pytest
 
-from noonforge import (ShapeError, SymmetryPattern, cli, load_matrix, reference,
-                       validate_symmetry)
+from noonforge import ShapeError, cli, load_matrix, reference, validate_symmetry
 
 BUNDLED = {"I": (reference.SPLITTER_I, 1525.1), "II": (reference.SPLITTER_II, 1523.3)}
 
@@ -45,6 +44,5 @@ def test_bundled_registry_is_independent(tmp_path, capsys):
 
 def test_matrix_shape_checked(splitter_i, splitter_ii):
     assert splitter_i.shape == splitter_ii.shape == (4, 4)
-    for pattern in (SymmetryPattern.subspace_i(), SymmetryPattern.subspace_ii()):
-        with pytest.raises(ShapeError):
-            validate_symmetry(np.eye(5), pattern, 0.1, 1.0)
+    with pytest.raises(ShapeError):
+        validate_symmetry(np.eye(5), 0.1, 1.0)

@@ -17,9 +17,7 @@ from noonforge import (
     PolarEntry,
     ShapeError,
     SingularMatrixError,
-    SymmetryPattern,
     effective_hamiltonian,
-    from_polar,
     matrix_exp,
     reference,
     unitarity_defect,
@@ -38,27 +36,21 @@ def polar(mag, deg):
     return mag * np.exp(1j * np.deg2rad(deg))
 
 
-# --- from_polar -------------------------------------------------------------
+# --- polar entries ----------------------------------------------------------
 
-def test_from_polar_identity():
-    entries = [[(1, 0), (0, 0)], [(0, 0), (1, 0)]]
-    assert np.allclose(from_polar(entries), np.eye(2))
+def test_to_array_identity():
+    entries = tuple(PolarEntry(mag, 0) for mag in (1, 0, 0, 1))
+    assert np.allclose(MatrixFile(2, "identity", entries).to_array(), np.eye(2))
 
 
-def test_from_polar_matches_complex_arithmetic():
-    m = from_polar([[(0.57, -74), (0.45, -51)], [(0.44, -27), (0.50, -44)]])
-    assert m[0, 0] == pytest.approx(0.57 * (math.cos(math.radians(-74))
-                                            + 1j * math.sin(math.radians(-74))))
+def test_polar_entry_matches_complex_arithmetic():
+    entries = tuple(PolarEntry(mag, deg)
+                    for mag, deg in ((0.57, -74), (0.45, -51), (0.44, -27), (0.50, -44)))
+    assert entries[0].value == pytest.approx(
+        0.57 * (math.cos(math.radians(-74)) + 1j * math.sin(math.radians(-74))))
+    # entries are row-major: the third one is row 1, column 0
+    m = MatrixFile(2, "x", entries).to_array()
     assert m[1, 0] == pytest.approx(0.44 * np.exp(-1j * 27 * np.pi / 180))
-
-
-def test_from_polar_rejects_non_square():
-    with pytest.raises(ShapeError):
-        from_polar([[(1, 0), (0, 0)]])
-    with pytest.raises(ShapeError):
-        from_polar([[(1, 0)], [(0, 0), (1, 0)]])
-    with pytest.raises(ShapeError):
-        from_polar([[(1, 0)]])
 
 
 def test_polar_entry_rejects_negative_magnitude():
@@ -141,7 +133,7 @@ def stamp_pattern(row0, row2):
 
 
 def test_splitter_i_matches_pattern(splitter_i):
-    violations = validate_symmetry(splitter_i, SymmetryPattern.subspace_i(), 0.02, 2.0)
+    violations = validate_symmetry(splitter_i, 0.02, 2.0)
     assert len(violations) <= 2
 
 
@@ -155,19 +147,24 @@ def test_stamped_pattern_has_zero_violations(mags, degs, tol):
     row0 = [polar(m, d) for m, d in zip(mags[:4], degs[:4])]
     row2 = [polar(m, d) for m, d in zip(mags[4:], degs[4:])]
     m = stamp_pattern(row0, row2)
-    assert validate_symmetry(m, SymmetryPattern.subspace_i(), tol, tol) == []
+    assert validate_symmetry(m, tol, tol) == []
 
 
 def test_broken_pair_is_reported(splitter_i):
     m = splitter_i.copy()
     m[1, 1] *= np.exp(1j * np.deg2rad(5.0))
-    violations = validate_symmetry(m, SymmetryPattern.subspace_i(), 0.02, 2.0)
-    assert len(violations) == 1
-    assert violations[0].location == ((0, 0), (1, 1))
+    assert validate_symmetry(m, 0.02, 2.0) == [((0, 0), (1, 1))]
+
+
+def column_norm_claim(matrix_file=None):
+    return next(c for c in reference.reproduction_claims(matrix_file)
+                if c.name == "splitter-II column norms")
 
 
 def test_splitter_ii_column_norms(splitter_ii):
-    assert validate_symmetry(splitter_ii, SymmetryPattern.subspace_ii(), 0.1, 0.0) == []
+    claim = column_norm_claim()
+    assert claim.passed
+    assert claim.computed == "0 columns out of band"
     # direct column-norm evaluation stays inside the band
     for c in range(4):
         assert abs(np.linalg.norm(splitter_ii[:, c]) - 1.0) < 0.1
@@ -176,22 +173,22 @@ def test_splitter_ii_column_norms(splitter_ii):
 def test_column_norm_violation_detected():
     m = np.eye(4, dtype=complex)
     m[:, 2] *= 1.5
-    violations = validate_symmetry(m, SymmetryPattern.subspace_ii(), 0.1, 0.0)
-    assert [v.location for v in violations] == [(2,)]
+    claim = column_norm_claim(MatrixFile.from_array(m, "x"))
+    assert not claim.passed
+    assert claim.computed == "1 columns out of band"
 
 
 def test_validate_symmetry_needs_4x4():
     with pytest.raises(ShapeError):
-        validate_symmetry(np.eye(3), SymmetryPattern.subspace_i(), 0.1, 1.0)
+        validate_symmetry(np.eye(3), 0.1, 1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
 def test_validate_symmetry_rejects_bad_tolerance(splitter_i, bad):
-    pattern = SymmetryPattern.subspace_i()
     with pytest.raises(InputError):
-        validate_symmetry(splitter_i, pattern, bad, 2.0)
+        validate_symmetry(splitter_i, bad, 2.0)
     with pytest.raises(InputError):
-        validate_symmetry(splitter_i, pattern, 0.02, bad)
+        validate_symmetry(splitter_i, 0.02, bad)
 
 
 # --- effective_hamiltonian / matrix_exp -------------------------------------
@@ -301,6 +298,12 @@ def test_load_matrix_missing_file(tmp_path):
     '{"dim": 4, "label": "x"}',
     '{"dim": 3, "label": "x", "entries": []}',
     '{"dim": 2, "label": "x", "entries": [{"mag": 1}, {"mag": 1}, {"mag": 1}, {"mag": 1}]}',
+    "[]",
+    '{"dim": "2", "label": "x", "entries": []}',
+    '{"dim": 2, "label": "x", "entries": {}}',
+    '{"dim": 2, "label": "x", "entries": [' + ", ".join(['{"mag": 1, "phase_deg": 0}'] * 4)
+    + '], "meta": []}',
+    '{"dim": 1, "label": "x", "entries": [{"mag": 1, "phase_deg": 0}]}',
 ])
 def test_malformed_matrix_files(text):
     with pytest.raises(MatrixFileError):
