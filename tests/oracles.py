@@ -8,8 +8,9 @@ import numpy as np
 import scipy.linalg
 
 from noonforge.errors import ShapeError, SpecError
-from noonforge.fock import QuantumState, enumerate_basis
+from noonforge.fock import FockBasis, QuantumState, enumerate_basis
 from noonforge.noon import noon_components
+from noonforge.unitary import require_square
 
 
 def naive_permanent(matrix) -> complex:
@@ -25,6 +26,35 @@ def naive_permanent(matrix) -> complex:
             prod *= a[i, j]
         total += prod
     return total
+
+
+def loop_fock_hamiltonian(coupling, basis: FockBasis) -> np.ndarray:
+    """Second-quantized generator by a loop over states and mode pairs.
+
+    Matrix elements of sum_mn A[m,n] adag_m a_n, using adag|k> = sqrt(k+1)|k+1>
+    and a|k> = sqrt(k)|k-1>, each raised state looked up in the basis index.
+    """
+    a = require_square(coupling)
+    if a.shape[0] != basis.modes:
+        raise ShapeError(
+            f"coupling matrix has {a.shape[0]} modes, basis has {basis.modes}")
+    dim = len(basis)
+    h = np.zeros((dim, dim), dtype=complex)
+    for t_idx, occ in enumerate(basis.states):
+        for n_mode in range(basis.modes):
+            k_n = occ[n_mode]
+            if k_n == 0:
+                continue
+            lowered = list(occ)
+            lowered[n_mode] -= 1
+            for m_mode in range(basis.modes):
+                if a[m_mode, n_mode] == 0:
+                    continue
+                raised = list(lowered)
+                raised[m_mode] += 1
+                factor = math.sqrt(k_n) * math.sqrt(lowered[m_mode] + 1)
+                h[basis.index_of(tuple(raised)), t_idx] += a[m_mode, n_mode] * factor
+    return h
 
 
 def brute_force_occupations(modes: int, photons: int) -> set:

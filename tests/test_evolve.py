@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -20,16 +21,19 @@ from noonforge import (
     evolve_state,
     evolve_state_hamiltonian,
     fock_hamiltonian,
+    matrix_exp,
     permanent,
     state_from_spec,
     sweep_inputs,
     transition_amplitude,
     unitarize,
 )
-from noonforge.evolve import PERMANENT_CAP
+from noonforge import evolve
+from noonforge.evolve import HAMILTONIAN_DIM_CAP, PERMANENT_CAP
 from noonforge.unitary import max_unitarity_defect
 
-from oracles import haar_unitary, naive_permanent, random_fock_input, random_hermitian
+from oracles import (haar_unitary, loop_fock_hamiltonian, naive_permanent, random_fock_input,
+                     random_hermitian)
 
 RNG_SEED = 424242
 
@@ -221,6 +225,16 @@ def test_evolve_rejects_unnormalized(operator_ii):
         evolve_state(operator_ii, state)
 
 
+@pytest.mark.parametrize("route", [
+    evolve_state,
+    lambda u, state: evolve_state_hamiltonian(effective_hamiltonian(u), state),
+], ids=["evolve_state", "evolve_state_hamiltonian"])
+def test_both_routes_reject_unnormalized(operator_ii, route):
+    _, state = state_from_spec("|0,0,1,1> + |1,1,0,0>")
+    with pytest.raises(InputError, match="normalized"):
+        route(operator_ii, QuantumState(state.basis, 2 * state.amplitudes))
+
+
 def test_evolve_rejects_mode_mismatch(operator_ii):
     _, state = state_from_spec("0,0,1")
     with pytest.raises(ShapeError):
@@ -333,6 +347,80 @@ def test_methods_agree_for_bundled_splitter(operator_ii):
     by_permanent = evolve_state(operator_ii, state)
     by_hamiltonian = evolve_state_hamiltonian(a, state)
     assert np.max(np.abs(by_permanent.amplitudes - by_hamiltonian.amplitudes)) <= 1e-8
+
+
+def _coupling_with_zeros(modes, rng, scale=1.0):
+    a = random_hermitian(modes, rng, scale)
+    zero = rng.random((modes, modes)) < 0.3
+    a[zero | zero.T] = 0
+    return a
+
+
+@pytest.mark.parametrize("modes,photons", [
+    *((m, n) for m in range(1, 5) for n in range(9)),
+    *((5, n) for n in range(6)),
+    (41, 2), (64, 1),  # base^modes overflows int64: Python-int keys
+])
+def test_fock_hamiltonian_matches_loop_bit_for_bit(modes, photons):
+    rng = np.random.default_rng(RNG_SEED + 10 * modes + photons)
+    a = _coupling_with_zeros(modes, rng)
+    basis = enumerate_basis(modes, photons)
+    assert np.array_equal(fock_hamiltonian(a, basis), loop_fock_hamiltonian(a, basis))
+
+
+def _random_state(basis, rng):
+    amps = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    return QuantumState(basis, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-6, 1.0, 10.0])
+def test_propagation_matches_scipy_expm(scale):
+    rng = np.random.default_rng(RNG_SEED)
+    a = _coupling_with_zeros(4, rng, scale)
+    state = _random_state(enumerate_basis(4, 5), rng)
+    out = evolve_state_hamiltonian(a, state).amplitudes
+    expected = scipy.linalg.expm(-1j * fock_hamiltonian(a, state.basis)) @ state.amplitudes
+    assert np.max(np.abs(out - expected)) <= 1e-12
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+
+
+def test_propagation_matches_dense_exponential_at_dim_680(operator_ii):
+    a = effective_hamiltonian(operator_ii)
+    _, state = state_from_spec("5,3,3,3")
+    assert len(state.basis) == 680
+    out = evolve_state_hamiltonian(a, state).amplitudes
+    expected = matrix_exp(fock_hamiltonian(a, state.basis)) @ state.amplitudes
+    assert np.max(np.abs(out - expected)) <= 1e-12
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+
+
+def test_propagation_with_a_wide_spectrum():
+    # H = 100 n_0 on 20 photons spans [0, 2000]: about a thousand Chebyshev
+    # terms, where a fixed margin of 64 past the order 1000 truncates at 5e-9.
+    theta = 100.0
+    basis = enumerate_basis(2, 20)
+    state = QuantumState(basis, np.full(len(basis), 1 / math.sqrt(len(basis))))
+    out = evolve_state_hamiltonian(np.diag([theta, 0.0]), state).amplitudes
+    n0 = np.array(basis.states)[:, 0]
+    assert np.max(np.abs(out - state.amplitudes * np.exp(-1j * theta * n0))) <= 1e-12
+
+
+def test_zero_coupling_returns_input_bit_for_bit():
+    state = _random_state(enumerate_basis(3, 4), np.random.default_rng(RNG_SEED))
+    table = evolve_state_hamiltonian(np.zeros((3, 3)), state)
+    assert np.array_equal(table.amplitudes, state.amplitudes)
+
+
+def test_hamiltonian_route_refuses_a_basis_above_the_cap(monkeypatch):
+    def never(*args):
+        raise AssertionError("generator built for a refused basis")
+
+    monkeypatch.setattr(evolve, "fock_hamiltonian", never)
+    basis = enumerate_basis(4, 22)
+    assert len(basis) == 2300 > HAMILTONIAN_DIM_CAP
+    state = QuantumState.from_occupations(basis, (22, 0, 0, 0))
+    with pytest.raises(CapacityError, match=r"2300 basis states needs a 80\.7 MiB"):
+        evolve_state_hamiltonian(np.eye(4), state)
 
 
 def test_table_payload_formatting(operator_ii):
