@@ -1,10 +1,10 @@
 """Multiphoton Fock-state evolution through a unitary multiport.
 
 The production path computes transition amplitudes from matrix permanents of
-repeated-row/column submatrices. An independent path builds the
-second-quantized generator on the n-photon basis and propagates the state by a
-Chebyshev series on the generator's Gershgorin interval; it serves as a
-cross-check.
+repeated-row/column submatrices. An independent path builds the nonzero
+entries of the second-quantized generator on the n-photon basis and
+propagates the state by a Chebyshev series of sparse mat-vecs on the
+generator's Gershgorin interval; it serves as a cross-check.
 """
 
 from __future__ import annotations
@@ -12,18 +12,24 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, InputError, ShapeError
+from .errors import CapacityError, InputError, NotHermitianError, ShapeError
 from .fock import (FockBasis, FockState, QuantumState, amplitude_row, rank_descending,
                    state_to_spec)
-from .unitary import require_hermitian, require_square, require_unitary
+from .unitary import HERMITIAN_TOL, require_hermitian, require_square, require_unitary
 
 PERMANENT_CAP = 16
-# Largest basis the Hamiltonian route accepts: its dense generator then holds
-# 2048^2 complex entries, 64 MiB, which covers 4 modes up to 21 photons.
+# Largest basis the Hamiltonian route accepts, which covers 4 modes up to 21
+# photons. It bounds the generator entries the route builds: for m modes at
+# most m^2 per state (16 for 4 modes), about 1 MiB at the cap.
 HAMILTONIAN_DIM_CAP = 2048
+# Most multiply-adds the Hamiltonian route's Chebyshev series may take,
+# estimated as (term bound) x (off-diagonal entries + dim): several seconds
+# of sparse mat-vecs.
+HAMILTONIAN_WORK_CAP = 2 ** 30
 # The Chebyshev series ends after its last coefficient above this magnitude.
 # The coefficients come from an FFT whose rounding noise is a few 1e-16, so a
 # cutoff below that would never end the series early.
@@ -171,20 +177,17 @@ def evolve_state(matrix, state: QuantumState) -> TransitionTable:
     return TransitionTable(basis, amplitudes, input=state)
 
 
-def fock_hamiltonian(coupling, basis: FockBasis) -> np.ndarray:
-    """Second-quantized generator on the n-photon basis, as a dense matrix.
+def _generator_entries(a: np.ndarray, basis: FockBasis):
+    """Nonzero entries (rows, cols, vals) of sum_mn A[m,n] adag_m a_n on `basis`.
 
-    Matrix elements of sum_mn A[m,n] adag_m a_n, using adag|k> = sqrt(k+1)|k+1>
-    and a|k> = sqrt(k)|k-1>. Hermitian whenever A is. Each state is keyed by
-    its occupations read as digits in base N+1; the state a mode pair (m, n)
-    raises is found by binary search over the sorted keys, and the pair's
-    elements are added in one vectorized step, pair after pair.
+    Uses adag|k> = sqrt(k+1)|k+1> and a|k> = sqrt(k)|k-1>. Each state is keyed
+    by its occupations read as digits in base N+1; the state a mode pair
+    (m, n) raises is found by binary search over the sorted keys. Each pair
+    with A[m,n] != 0 contributes one block of entries, pair after pair. Within
+    a block every (row, col) is distinct; across blocks only the diagonal
+    repeats, since a raised state t != s fixes m and n.
     """
-    a = require_square(coupling)
-    if a.shape[0] != basis.modes:
-        raise ShapeError(
-            f"coupling matrix has {a.shape[0]} modes, basis has {basis.modes}")
-    dim, modes, base = len(basis), basis.modes, basis.photons + 1
+    modes, base = basis.modes, basis.photons + 1
     occ = np.array(basis.states, dtype=np.int64)
     # Python-int keys where base^modes overflows int64 (many modes, few photons).
     key_type = np.int64 if base ** modes < 2 ** 63 else object
@@ -192,7 +195,7 @@ def fock_hamiltonian(coupling, basis: FockBasis) -> np.ndarray:
     keys = occ.astype(key_type) @ radix
     order = np.argsort(keys)
     sorted_keys = keys[order]
-    h = np.zeros((dim, dim), dtype=complex)
+    rows, cols, vals = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0, complex)]
     for n_mode in range(modes):
         src = np.flatnonzero(occ[:, n_mode])
         root_k = np.sqrt(occ[src, n_mode])
@@ -200,14 +203,86 @@ def fock_hamiltonian(coupling, basis: FockBasis) -> np.ndarray:
         for m_mode in range(modes):
             if a[m_mode, n_mode] == 0:
                 continue
-            raised = order[np.searchsorted(sorted_keys, lowered + radix[m_mode])]
             l_m = occ[src, m_mode] - (m_mode == n_mode)
-            h[raised, src] += a[m_mode, n_mode] * (root_k * np.sqrt(l_m + 1))
+            rows.append(order[np.searchsorted(sorted_keys, lowered + radix[m_mode])])
+            cols.append(src)
+            vals.append(a[m_mode, n_mode] * (root_k * np.sqrt(l_m + 1)))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def fock_hamiltonian(coupling, basis: FockBasis) -> np.ndarray:
+    """Second-quantized generator on the n-photon basis, as a dense matrix.
+
+    Matrix elements of sum_mn A[m,n] adag_m a_n, Hermitian whenever A is. The
+    entries of `_generator_entries` are added in pair order, so repeated
+    diagonal entries sum as a loop over states and mode pairs would sum them.
+    The Hamiltonian route never builds this matrix; it serves tests and
+    callers that want the generator itself.
+    """
+    a = require_square(coupling)
+    if a.shape[0] != basis.modes:
+        raise ShapeError(
+            f"coupling matrix has {a.shape[0]} modes, basis has {basis.modes}")
+    rows, cols, vals = _generator_entries(a, basis)
+    h = np.zeros((len(basis), len(basis)), dtype=complex)
+    np.add.at(h, (rows, cols), vals)
     return h
 
 
-def _propagate(h: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """exp(-ih) @ vector for a Hermitian h, which is overwritten.
+class _SparseGenerator(NamedTuple):
+    """A generator as its diagonal and its off-diagonal entries in CSR form.
+
+    The off-diagonal entries are sorted by row, then column; `nonempty` lists
+    the rows holding any, and `starts` where each of them begins.
+    """
+
+    diagonal: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    nonempty: np.ndarray
+    starts: np.ndarray
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = self.diagonal * x
+        y[self.nonempty] += np.add.reduceat(self.vals * x[self.cols], self.starts)
+        return y
+
+
+def _sparse_generator(a: np.ndarray, basis: FockBasis) -> _SparseGenerator:
+    """The generator of `a` on `basis` from its entries, checked Hermitian.
+
+    The diagonal is summed in pair order. Each (r, c) off the diagonal occurs
+    once, so those values equal the dense generator's. ShapeError on a
+    non-finite entry and NotHermitianError unless max |H - H^H| <=
+    HERMITIAN_TOL, the numbers the dense `require_hermitian` computes: each
+    off-diagonal value against the conjugate of its mirror entry, found by
+    binary search over the keys r*dim + c (0 where the mirror is not stored),
+    and the diagonal against its conjugate.
+    """
+    dim = len(basis)
+    rows, cols, vals = _generator_entries(a, basis)
+    on_diag = rows == cols
+    d = np.zeros(dim, dtype=complex)
+    np.add.at(d, rows[on_diag], vals[on_diag])
+    keys = rows[~on_diag] * dim + cols[~on_diag]
+    by_key = np.argsort(keys, kind="stable")
+    keys, cols, vals = keys[by_key], cols[~on_diag][by_key], vals[~on_diag][by_key]
+    if not (np.all(np.isfinite(d.view(float))) and np.all(np.isfinite(vals.view(float)))):
+        raise ShapeError("matrix entries must be finite")
+    mirror = (keys % dim) * dim + keys // dim
+    at = np.searchsorted(keys, mirror)
+    stored = np.take(keys, at, mode="clip") == mirror
+    partner = np.where(stored, np.take(vals, at, mode="clip"), 0)
+    defect = max(np.max(np.abs(vals - partner.conj()), initial=0.0),
+                 np.max(np.abs(d - d.conj()), initial=0.0))
+    if defect > HERMITIAN_TOL:
+        raise NotHermitianError("matrix must be Hermitian")
+    nonempty, starts = np.unique(keys // dim, return_index=True)
+    return _SparseGenerator(d, cols, vals, nonempty, starts)
+
+
+def _propagate(h: _SparseGenerator, vector: np.ndarray) -> np.ndarray:
+    """exp(-ih) @ vector for a Hermitian sparse generator h.
 
     The spectrum of h lies in its Gershgorin interval [lo, hi]. With
     mid = (hi+lo)/2 and half = (hi-lo)/2, exp(-ih) = exp(-i mid) f(x) for
@@ -217,23 +292,34 @@ def _propagate(h: np.ndarray, vector: np.ndarray) -> np.ndarray:
     c_0 .. c_(K-1). Past the order half, J_k(half) decays on a scale of
     (half/2)^(1/3); for K = half + 12 half^(1/3) + 32 every J_k with k >= K is
     below 1e-20 (checked against scipy.special.jv for half up to 1e5), so
-    neither truncation nor aliasing shows. The series runs the three-term
-    Chebyshev recurrence in mat-vecs and ends after the last coefficient above
-    CHEBYSHEV_CUTOFF (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).
+    neither truncation nor aliasing shows. K bounds the number of mat-vecs,
+    each about (off-diagonal entries + dim) multiply-adds, so a series whose
+    estimate exceeds HAMILTONIAN_WORK_CAP is refused before the FFT. The
+    series runs the three-term Chebyshev recurrence in sparse mat-vecs and
+    ends after the last coefficient above CHEBYSHEV_CUTOFF (Tal-Ezer &
+    Kosloff, J. Chem. Phys. 81, 3967, 1984).
     """
-    centre = h.diagonal().real
-    radius = np.abs(h).sum(axis=1) - np.abs(h.diagonal())
+    dim = len(vector)
+    centre = h.diagonal.real
+    radius = np.zeros(dim)
+    radius[h.nonempty] = np.add.reduceat(np.abs(h.vals), h.starts)
     lo, hi = float(np.min(centre - radius)), float(np.max(centre + radius))
     mid, half = (hi + lo) / 2, (hi - lo) / 2
     phase = np.exp(-1j * mid)
     if half == 0:
         return phase * vector
-    size = int(half + 12 * np.cbrt(half)) + 32
+    reach = half + 12 * np.cbrt(half)
+    work = (reach + 32) * (len(h.vals) + dim)
+    if not work <= HAMILTONIAN_WORK_CAP:
+        raise CapacityError(
+            f"Hamiltonian route needs up to {reach + 32:.4g} Chebyshev terms on "
+            f"{len(h.vals)} off-diagonal entries and {dim} states, about "
+            f"{work:.3g} multiply-adds; the cap is {HAMILTONIAN_WORK_CAP:.3g}")
+    size = int(reach) + 32
     angles = np.pi * np.arange(2 * size) / size
     coeffs = np.fft.fft(np.exp(-1j * half * np.cos(angles)))[:size] / (2 * size)
     terms = int(np.flatnonzero(np.abs(coeffs) > CHEBYSHEV_CUTOFF)[-1]) + 1
-    h[np.diag_indices_from(h)] -= mid
-    h /= half
+    h = h._replace(diagonal=(h.diagonal - mid) / half, vals=h.vals / half)
     previous, current = vector, h @ vector
     total = coeffs[0] * previous + 2 * coeffs[1] * current
     for c in coeffs[2:terms]:
@@ -245,22 +331,22 @@ def _propagate(h: np.ndarray, vector: np.ndarray) -> np.ndarray:
 def evolve_state_hamiltonian(coupling, state: QuantumState) -> TransitionTable:
     """Evolve a normalized state under the second-quantized generator (t=1).
 
-    Builds the dense generator of `coupling` on the state's basis and
-    propagates the amplitudes by a Chebyshev series on the generator's
-    Gershgorin interval, without forming exp(-iH). Independent of the
-    permanent path; the two must agree to 1e-8 per amplitude for any
-    Hermitian coupling matrix. A basis above HAMILTONIAN_DIM_CAP states is
-    refused with CapacityError before the generator is allocated.
+    Builds the nonzero entries of the generator of `coupling` on the state's
+    basis, checks them Hermitian, and propagates the amplitudes by a
+    Chebyshev series of sparse mat-vecs on the generator's Gershgorin
+    interval, without forming exp(-iH) or any dim x dim array; the cost grows
+    with entries x terms. Independent of the permanent path; the two must
+    agree to 1e-8 per amplitude for any Hermitian coupling matrix. A basis
+    above HAMILTONIAN_DIM_CAP states is refused with CapacityError before
+    the entries are built, and a series above HAMILTONIAN_WORK_CAP before it
+    is summed.
     """
     a = require_hermitian(coupling)
     _require_normalized_on(state, a.shape[0])
     dim = len(state.basis)
     if dim > HAMILTONIAN_DIM_CAP:
         raise CapacityError(
-            f"Hamiltonian route on {dim} basis states needs a "
-            f"{dim * dim * 16 / 2 ** 20:.1f} MiB dense generator; the cap is "
+            f"Hamiltonian route on {dim} basis states exceeds the cap of "
             f"{HAMILTONIAN_DIM_CAP} states")
-    h = fock_hamiltonian(a, state.basis)
-    require_hermitian(h)
-    amplitudes = _propagate(h, state.amplitudes)
+    amplitudes = _propagate(_sparse_generator(a, state.basis), state.amplitudes)
     return TransitionTable(state.basis, amplitudes, input=state)

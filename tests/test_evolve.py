@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,12 +416,75 @@ def test_hamiltonian_route_refuses_a_basis_above_the_cap(monkeypatch):
     def never(*args):
         raise AssertionError("generator built for a refused basis")
 
-    monkeypatch.setattr(evolve, "fock_hamiltonian", never)
+    monkeypatch.setattr(evolve, "_generator_entries", never)
     basis = enumerate_basis(4, 22)
     assert len(basis) == 2300 > HAMILTONIAN_DIM_CAP
     state = QuantumState.from_occupations(basis, (22, 0, 0, 0))
-    with pytest.raises(CapacityError, match=r"2300 basis states needs a 80\.7 MiB"):
+    with pytest.raises(CapacityError, match=r"2300 basis states exceeds the cap of 2048"):
         evolve_state_hamiltonian(np.eye(4), state)
+
+
+def test_hamiltonian_route_refuses_a_long_series_before_the_fft(monkeypatch):
+    # H = 1e8 n_0 on 20 photons spans [0, 2e9]: about 1e9 Chebyshev terms.
+    def never(*args, **kwargs):
+        raise AssertionError("series coefficients computed for a refused series")
+
+    monkeypatch.setattr(np.fft, "fft", never)
+    state = QuantumState.from_occupations(enumerate_basis(2, 20), (10, 10))
+    with pytest.raises(CapacityError, match=r"Chebyshev terms on 0 off-diagonal entries"):
+        evolve_state_hamiltonian(np.diag([1e8, 0.0]), state)
+
+
+@pytest.mark.parametrize("coupling", [
+    [[0.0, 1.0], [1.0 + 0.9e-10, 0.0]],
+    [[0.0, 1e-10], [0.0, 0.0]],  # a[1,0] == 0: the a[0,1] entries have no stored mirror
+], ids=["mirror-differs", "mirror-missing"])
+def test_generator_check_refuses_a_coupling_just_inside_the_tolerance(coupling):
+    # The coupling passes HERMITIAN_TOL; its generator entries, up to
+    # sqrt(10 * 11) times larger, do not.
+    state = QuantumState.from_occupations(enumerate_basis(2, 20), (10, 10))
+    with pytest.raises(NotHermitianError):
+        evolve_state_hamiltonian(np.array(coupling), state)
+
+
+def test_generator_check_refuses_non_finite_entries():
+    a = np.array([[1e308, 0.0], [0.0, 0.0]])
+    state = QuantumState.from_occupations(enumerate_basis(2, 3), (3, 0))
+    with np.errstate(over="ignore"), pytest.raises(ShapeError, match="finite"):
+        evolve_state_hamiltonian(a, state)
+
+
+@pytest.mark.parametrize("modes,photons", [(m, n) for m in range(1, 6) for n in range(9)])
+def test_sparse_mat_vec_matches_the_dense_generator(modes, photons):
+    rng = np.random.default_rng(RNG_SEED + 10 * modes + photons)
+    a = _coupling_with_zeros(modes, rng)
+    basis = enumerate_basis(modes, photons)
+    x = _random_state(basis, rng).amplitudes
+    h = evolve._sparse_generator(a, basis)
+    assert np.max(np.abs(h @ x - fock_hamiltonian(a, basis) @ x)) <= 1e-13
+
+
+def test_hamiltonian_route_never_builds_the_dense_generator(monkeypatch, operator_ii):
+    def never(*args):
+        raise AssertionError("dense generator built")
+
+    monkeypatch.setattr(evolve, "fock_hamiltonian", never)
+    _, state = state_from_spec("5,3,3,3")
+    out = evolve_state_hamiltonian(effective_hamiltonian(operator_ii), state)
+    assert abs(out.norm() - 1.0) <= 1e-12
+
+
+def test_hamiltonian_route_peak_memory_at_dim_2024(operator_ii):
+    a = effective_hamiltonian(operator_ii)
+    _, state = state_from_spec("6,5,5,5")
+    assert len(state.basis) == 2024
+    tracemalloc.start()
+    try:
+        evolve_state_hamiltonian(a, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_table_payload_formatting(operator_ii):
