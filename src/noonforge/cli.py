@@ -23,9 +23,9 @@ import numpy as np
 
 from . import serialize
 from .errors import InputError, NumericError
-from .evolve import evolve_state
-from .fock import (NEGLIGIBLE_AMPLITUDE, amplitude_row, format_occupations,
-                   parse_occupations, state_from_spec)
+from .evolve import evolve_state, require_permanent_size
+from .fock import (NEGLIGIBLE_AMPLITUDE, QuantumState, amplitude_rows, format_occupations,
+                   parse_occupations, parse_spec, state_from_kets)
 from .noon import noon_components, noon_report, post_select, sweep_inputs
 from .reference import operator_from_file, reproduction_claims
 from .unitary import MatrixFile, load_matrix, save_matrix, unitarity_defect, unitarize
@@ -38,6 +38,14 @@ def _print_amplitude_rows(pairs):
         if round(deg) == 0:
             deg = 0.0
         print(f"  {mag:.4f} @ {deg:+4.0f} deg  |{format_occupations(occ)}>")
+
+
+def _input_state(spec: str) -> QuantumState:
+    """The state `spec` names, refused before its basis is built when its
+    photon number needs a permanent above the cap."""
+    kets = parse_spec(spec)
+    require_permanent_size(sum(next(iter(kets))))
+    return state_from_kets(kets)[1]
 
 
 def cmd_unitarize(matrix_path: str, out_path: str, json_output: bool = False) -> int:
@@ -69,7 +77,7 @@ def cmd_unitarize(matrix_path: str, out_path: str, json_output: bool = False) ->
 
 def cmd_evolve(matrix_path: str, input_spec: str, json_output: bool = False) -> int:
     mf = load_matrix(matrix_path)
-    _, state = state_from_spec(input_spec)
+    state = _input_state(input_spec)
     table = evolve_state(operator_from_file(mf), state)
     if json_output:
         print(serialize.dumps(table.to_payload()), end="")
@@ -84,7 +92,7 @@ def cmd_evolve(matrix_path: str, input_spec: str, json_output: bool = False) -> 
 def cmd_noon(matrix_path: str, input_spec: str, select: str | None = None,
              json_output: bool = False) -> int:
     mf = load_matrix(matrix_path)
-    _, state = state_from_spec(input_spec)
+    state = _input_state(input_spec)
     u = operator_from_file(mf)
 
     if select is not None:
@@ -98,7 +106,7 @@ def cmd_noon(matrix_path: str, input_spec: str, select: str | None = None,
                 "input": input_spec.strip(),
                 "selection": [format_occupations(occ) for occ in kept],
                 "probability": serialize.fixed(probability, 4),
-                "components": [amplitude_row(occ, a) for occ, a in components],
+                "components": amplitude_rows(*zip(*components)),
             }
             print(serialize.dumps(payload), end="")
         else:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, InputError, NotHermitianError, ShapeError
-from .fock import (FockBasis, FockState, QuantumState, amplitude_row, rank_descending,
+from .fock import (FockBasis, FockState, QuantumState, amplitude_rows, rank_descending,
                    state_to_spec)
 from .unitary import HERMITIAN_TOL, require_hermitian, require_square, require_unitary
 
@@ -38,11 +38,24 @@ CHEBYSHEV_CUTOFF = 1e-15
 
 @functools.cache
 def _glynn_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 2^(n-1) sign vectors with delta_0 = +1 as columns, and their sign products."""
+    """The 2^(n-1) sign vectors with delta_0 = +1 as columns, and their sign products.
+
+    Both are complex and read-only: a complex matrix times a float table
+    would convert the table to complex on every call.
+    """
     k = np.arange(1 << (n - 1))
     flips = (k >> np.arange(n - 1)[:, None]) & 1
     deltas_t = np.vstack([np.ones((1, k.size)), 1.0 - 2.0 * flips])
-    return deltas_t, deltas_t.prod(axis=0)
+    deltas_t, signs = deltas_t.astype(complex), deltas_t.prod(axis=0).astype(complex)
+    deltas_t.flags.writeable = signs.flags.writeable = False
+    return deltas_t, signs
+
+
+def require_permanent_size(n: int) -> None:
+    """CapacityError if an n x n permanent, an amplitude of n photons, exceeds the cap."""
+    if n > PERMANENT_CAP:
+        raise CapacityError(
+            f"a {n}x{n} permanent ({n} photons) exceeds the cap of {PERMANENT_CAP}")
 
 
 def permanent(matrix) -> complex:
@@ -51,33 +64,50 @@ def permanent(matrix) -> complex:
     per(A) = 2^-(n-1) sum_delta (prod_k delta_k) prod_j sum_i delta_i A[i,j],
     summed over the 2^(n-1) vectors delta in {+1,-1}^n with delta_0 = +1
     (Glynn 2010). That is one (n x n) @ (n x 2^(n-1)) product, a column
-    product and a dot: O(2^(n-1) * n) work, with no Python loop. The sign
-    table is cached per n; at n = PERMANENT_CAP = 16 it holds 4.25 MiB, and
-    the tables for every n up to the cap hold 8 MiB together.
+    product and a dot: O(2^(n-1) * n) work, with no Python loop. The complex
+    sign table is cached per n; at n = PERMANENT_CAP = 16 it holds 8.5 MiB,
+    and the tables for every n up to the cap hold 16 MiB together.
     """
     a = require_square(matrix)
     n = a.shape[0]
-    if n > PERMANENT_CAP:
-        raise CapacityError(
-            f"permanent of a {n}x{n} matrix exceeds the cap of {PERMANENT_CAP}")
+    require_permanent_size(n)
     if n == 0:
         return 1 + 0j
     deltas_t, signs = _glynn_signs(n)
     # prod(axis=0) multiplies n long contiguous rows elementwise; the
     # untransposed form reduces 2^(n-1) short rows, about 4x slower at n = 9.
-    return complex((a.T @ deltas_t).prod(axis=0) @ signs / 2 ** (n - 1))
+    return complex(np.dot((a.T @ deltas_t).prod(axis=0), signs) / 2 ** (n - 1))
 
 
 def _occupation_vector(occ, modes: int, role: str) -> tuple[int, ...]:
     occ = tuple(occ)
-    if not all(type(n) is int or isinstance(n, np.integer) for n in occ):
-        raise ShapeError(f"{role} occupations must be integers: {occ}")
-    occ = tuple(int(n) for n in occ)
+    if not all(type(n) is int for n in occ):
+        if not all(type(n) is int or isinstance(n, np.integer) for n in occ):
+            raise ShapeError(f"{role} occupations must be integers: {occ}")
+        occ = tuple(int(n) for n in occ)
     if len(occ) != modes:
         raise ShapeError(f"{role} state lists {len(occ)} modes, matrix has {modes}")
-    if any(n < 0 for n in occ):
+    if min(occ, default=0) < 0:
         raise ShapeError(f"{role} occupations must be non-negative: {occ}")
     return occ
+
+
+# Most occupation tuples _ports keeps; every basis of 4 modes up to
+# PERMANENT_CAP photons fits. A full cache drops its oldest entry.
+PORT_CACHE_SIZE = 4096
+_port_cache: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
+
+
+def _ports(occ: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """Port i repeated occ[i] times (read-only), and prod occ[i]!, cached per tuple."""
+    entry = _port_cache.get(occ)
+    if entry is None:
+        if len(_port_cache) >= PORT_CACHE_SIZE:
+            del _port_cache[next(iter(_port_cache))]
+        index = np.repeat(np.arange(len(occ)), occ)
+        index.flags.writeable = False
+        entry = _port_cache[occ] = (index, math.prod(math.factorial(k) for k in occ))
+    return entry
 
 
 def transition_amplitude(matrix, state_in: FockState, state_out: FockState) -> complex:
@@ -86,7 +116,8 @@ def transition_amplitude(matrix, state_in: FockState, state_out: FockState) -> c
     U[out, in] repeats row j out_j times (outer) and column i in_i times
     (inner). Amplitudes across photon sectors are identically zero in a
     linear passive network, so mismatched photon numbers are rejected
-    rather than silently zeroed.
+    rather than silently zeroed, and more than PERMANENT_CAP photons before
+    any index is built.
     """
     u = require_square(matrix)
     occ_in = _occupation_vector(state_in, u.shape[0], "input")
@@ -97,12 +128,10 @@ def transition_amplitude(matrix, state_in: FockState, state_out: FockState) -> c
             f"photon number mismatch: input has {n}, output has {sum(occ_out)}")
     if n == 0:
         return 1 + 0j
-    rows = np.repeat(np.arange(u.shape[0]), occ_out)
-    cols = np.repeat(np.arange(u.shape[0]), occ_in)
-    sub = u[rows[:, None], cols]
-    norm = math.prod(math.factorial(k) for k in occ_in) * \
-        math.prod(math.factorial(k) for k in occ_out)
-    return permanent(sub) / math.sqrt(norm)
+    require_permanent_size(n)
+    cols, norm_in = _ports(occ_in)
+    rows, norm_out = _ports(occ_out)
+    return permanent(u.take(rows, 0).take(cols, 1)) / math.sqrt(norm_in * norm_out)
 
 
 def evolution_operator(scattering) -> np.ndarray:
@@ -140,8 +169,7 @@ class TransitionTable(QuantumState):
             "modes": self.basis.modes,
             "photons": self.basis.photons,
             "input": state_to_spec(self.input),
-            "amplitudes": [amplitude_row(occ, a)
-                           for occ, a in zip(self.basis.states, self.amplitudes)],
+            "amplitudes": amplitude_rows(self.basis.states, self.amplitudes),
         }
 
 

@@ -156,16 +156,23 @@ class QuantumState:
 
 
 def format_occupations(occupations: FockState) -> str:
-    return ",".join(str(n) for n in occupations)
+    return ",".join(map(str, occupations))
 
 
-def amplitude_row(occupations: FockState, amplitude: complex) -> dict:
-    """JSON row for one amplitude: ket, magnitude and phase to 6 decimal places."""
-    return {
-        "state": format_occupations(occupations),
-        "mag": serialize.fixed(abs(amplitude), 6),
-        "phase_deg": serialize.fixed(math.degrees(np.angle(amplitude)), 6),
-    }
+def amplitude_rows(states, amplitudes) -> list[dict]:
+    """JSON rows for (state, amplitude) pairs: ket, magnitude and phase to 6 decimal places.
+
+    The phases come from one np.angle call over every amplitude, which runs
+    the same arctan2 loop as one call per amplitude. Magnitudes take the
+    scalar abs (hypot), which the vectorized np.abs does not match bit for
+    bit.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    return [{"state": format_occupations(occ),
+             "mag": serialize.fixed(abs(amp), 6),
+             "phase_deg": serialize.fixed(math.degrees(phase), 6)}
+            for occ, amp, phase in zip(states, amplitudes.tolist(),
+                                       np.angle(amplitudes).tolist())]
 
 
 def rank_descending(items, scores) -> list:
@@ -197,21 +204,21 @@ def parse_occupations(text: str) -> FockState:
     return occ
 
 
-def state_from_spec(spec: str) -> tuple[FockBasis, QuantumState]:
-    """Parse a ket spec into a normalized state.
+def parse_spec(spec: str) -> dict[FockState, complex]:
+    """Parse a ket spec into its kets and their summed coefficients, unnormalized.
 
     Grammar: a bare occupation list ``"0,0,1,1"``, or a superposition of
     terms ``[amp[@phase_deg]*]|KET>`` joined by ``+``, e.g.
     ``"0.7*|2,0> + 0.7@90*|0,2>"``. Only a ``+`` after a closing ``>`` joins
-    terms, so amplitudes and phases may carry an explicit sign.
+    terms, so amplitudes and phases may carry an explicit sign. Kets keep
+    the order they first appear in. SpecError if the terms mix mode or
+    photon numbers or cancel to the zero state; no basis is built.
     """
     text = spec.strip()
     if not text:
         raise SpecError("empty state spec")
     if "|" not in text:
-        occ = parse_occupations(text)
-        basis = enumerate_basis(len(occ), sum(occ))
-        return basis, QuantumState.from_occupations(basis, occ)
+        return {parse_occupations(text): 1 + 0j}
 
     terms = []
     for chunk in _TERM_JOIN_RE.split(text):
@@ -225,21 +232,33 @@ def state_from_spec(spec: str) -> tuple[FockBasis, QuantumState]:
 
     modes = len(terms[0][1])
     photons = sum(terms[0][1])
-    for _, occ in terms[1:]:
+    kets: dict[FockState, complex] = {}
+    for coeff, occ in terms:
         if len(occ) != modes:
             raise SpecError(f"terms mix {modes} and {len(occ)} modes in spec {spec!r}")
         if sum(occ) != photons:
             raise SpecError(
                 f"terms mix photon numbers {photons} and {sum(occ)} in spec {spec!r}"
             )
-
-    basis = enumerate_basis(modes, photons)
-    amps = np.zeros(len(basis), dtype=complex)
-    for coeff, occ in terms:
-        amps[basis.index_of(occ)] += coeff
-    if np.linalg.norm(amps) == 0.0:
+        kets[occ] = kets.get(occ, 0j) + coeff
+    if np.linalg.norm(list(kets.values())) == 0.0:
         raise SpecError(f"terms cancel to the zero state in spec {spec!r}")
+    return kets
+
+
+def state_from_kets(kets: dict[FockState, complex]) -> tuple[FockBasis, QuantumState]:
+    """The normalized state over the basis of `kets`, as parse_spec returns them."""
+    first = next(iter(kets))
+    basis = enumerate_basis(len(first), sum(first))
+    amps = np.zeros(len(basis), dtype=complex)
+    for occ, coeff in kets.items():
+        amps[basis.index_of(occ)] = coeff
     return basis, QuantumState(basis, amps).normalized()
+
+
+def state_from_spec(spec: str) -> tuple[FockBasis, QuantumState]:
+    """Parse a ket spec (see parse_spec) into a normalized state."""
+    return state_from_kets(parse_spec(spec))
 
 
 def state_to_spec(state: QuantumState) -> str:

@@ -10,6 +10,7 @@ noon_report and sweep_inputs compute just those.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,8 +18,9 @@ import numpy as np
 
 from . import serialize
 from .errors import ShapeError, SpecError, ZeroProbabilityError
-from .evolve import TransitionTable, require_evolvable, transition_amplitude
-from .fock import (FockBasis, FockState, QuantumState, amplitude_row, enumerate_basis,
+from .evolve import (TransitionTable, require_evolvable, require_permanent_size,
+                     transition_amplitude)
+from .fock import (FockBasis, FockState, QuantumState, amplitude_rows, enumerate_basis,
                    rank_descending)
 from .unitary import require_unitary
 
@@ -44,42 +46,40 @@ class NoonReport:
             "success_probability": serialize.fixed(self.success_probability, 4),
             "fidelity": serialize.fixed(self.fidelity, 4),
             "components": [
-                {
-                    **amplitude_row(_bunched(j, self.photons, self.modes), c),
-                    "normalized_mag": serialize.fixed(m, 4),
-                    "optimal_phase_deg": serialize.fixed(p, 2),
-                }
-                for j, (c, m, p) in enumerate(zip(
-                    self.raw_amplitudes, self.normalized_amplitudes,
-                    self.optimal_phases_deg))
+                {**row,
+                 "normalized_mag": serialize.fixed(m, 4),
+                 "optimal_phase_deg": serialize.fixed(p, 2)}
+                for row, m, p in zip(
+                    amplitude_rows(_noon_states(self.photons, self.modes),
+                                   self.raw_amplitudes),
+                    self.normalized_amplitudes, self.optimal_phases_deg)
             ],
         }
 
 
-def _bunched(port: int, photons: int, modes: int) -> FockState:
-    occ = [0] * modes
-    occ[port] = photons
-    return tuple(occ)
+@functools.cache
+def _noon_states(photons: int, modes: int) -> tuple[FockState, ...]:
+    return tuple(tuple(photons if i == j else 0 for i in range(modes)) for j in range(modes))
 
 
 def noon_components(basis: FockBasis) -> list[FockState]:
     """The K one-port-bunched states |N e_j> in port order."""
-    return [_bunched(j, basis.photons, basis.modes) for j in range(basis.modes)]
+    return list(_noon_states(basis.photons, basis.modes))
 
 
 def _report_from_amplitudes(raw: np.ndarray, photons: int, modes: int) -> NoonReport:
     if photons < 1:
         raise ShapeError("NOON extraction needs at least one photon")
-    success = float(np.sum(np.abs(raw) ** 2))
+    magnitudes = np.abs(raw)
+    success = float(np.sum(magnitudes ** 2))
     if success <= ZERO_WEIGHT:
         raise ZeroProbabilityError("no probability weight on the bunched components")
-    magnitudes = np.abs(raw)
     # A shifter on port j multiplies |..n_j..> by exp(i n_j theta_j); the
     # bunched component picks up exp(i N theta_j), so -arg(c_j)/N aligns it.
-    phases = tuple(float(-math.degrees(np.angle(c)) / photons) for c in raw)
-    normalized = tuple(float(m) for m in magnitudes / math.sqrt(success))
+    phases = tuple(-math.degrees(a) / photons for a in np.angle(raw).tolist())
+    normalized = tuple((magnitudes / math.sqrt(success)).tolist())
     fidelity = float(np.sum(magnitudes)) ** 2 / (modes * success)
-    return NoonReport(photons, modes, tuple(complex(c) for c in raw), success,
+    return NoonReport(photons, modes, tuple(raw.tolist()), success,
                       phases, normalized, fidelity)
 
 
@@ -91,7 +91,7 @@ def _bunched_report(u: np.ndarray, terms, photons: int) -> NoonReport:
     table bit for bit.
     """
     modes = u.shape[0]
-    targets = [_bunched(j, photons, modes) for j in range(modes)]
+    targets = _noon_states(photons, modes)
     raw = np.zeros(modes, dtype=complex)
     for occ_in, coeff in terms:
         for j, target in enumerate(targets):
@@ -152,10 +152,12 @@ def sweep_inputs(matrix, total_photons: int) -> list[tuple[FockState, NoonReport
     the full table. Inputs with no bunched weight get a
     zero-success placeholder (fidelity 0) and rank last. Successes within
     fock.TIE_TOLERANCE of their tied group's largest rank as equal and break
-    on the ascending lexicographic order of the input occupations.
+    on the ascending lexicographic order of the input occupations. More
+    photons than a permanent takes are refused before any basis is built.
     """
     if total_photons < 1:
         raise ShapeError("sweep needs at least one photon")
+    require_permanent_size(total_photons)
     u = require_unitary(matrix)
     modes = u.shape[0]
     rows = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from decimal import Decimal
+from json.encoder import encode_basestring_ascii
 
 from .errors import MatrixFileError
 
@@ -20,7 +21,7 @@ class RawNumber(str):
 def fixed(value: float, places: int) -> RawNumber:
     """Format a float with a fixed number of decimals (negative zero folded)."""
     text = f"{value:.{places}f}"
-    if float(text) == 0.0:
+    if text[0] == "-" and float(text) == 0.0:
         text = f"{0.0:.{places}f}"
     return RawNumber(text)
 
@@ -48,52 +49,57 @@ def loads(text: str):
         raise MatrixFileError(f"invalid JSON: {exc}") from exc
 
 
-def _scalar(value) -> str | None:
-    if isinstance(value, RawNumber):
-        return str(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Decimal):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    return None
+# The token of each leaf type, keyed by exact type. A subclass (np.float64 is
+# a float) takes the first type it is an instance of, in this order:
+# RawNumber before str.
+_TOKENS = {
+    RawNumber: str,
+    bool: lambda value: "true" if value else "false",
+    int: str,
+    Decimal: str,
+    float: repr,
+    str: encode_basestring_ascii,
+    type(None): lambda value: "null",
+}
 
 
-def _is_simple(value) -> bool:
-    if isinstance(value, dict):
-        return all(_scalar(v) is not None for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return all(_scalar(v) is not None for v in value)
-    return False
-
-
-def _emit(value, level: int) -> str:
-    token = _scalar(value)
-    if token is not None:
-        return token
-    pad = "  " * (level + 1)
-    close = "  " * level
-    if isinstance(value, dict):
-        items = [f"{json.dumps(str(k))}: {_emit(v, level + 1)}"
-                 for k, v in value.items()]
-        if _is_simple(value):
-            return "{" + ", ".join(items) + "}"
-        return "{\n" + ",\n".join(pad + it for it in items) + "\n" + close + "}"
-    if isinstance(value, (list, tuple)):
-        items = [_emit(v, level + 1) for v in value]
-        if _is_simple(value):
-            return "[" + ", ".join(items) + "]"
-        return "[\n" + ",\n".join(pad + it for it in items) + "\n" + close + "]"
+def _token(value) -> str | None:
+    """The JSON token of a leaf; None for a dict, list or tuple."""
+    make = _TOKENS.get(type(value))
+    if make is not None:
+        return make(value)
+    if isinstance(value, (dict, list, tuple)):
+        return None
+    for kind, make in _TOKENS.items():
+        if isinstance(value, kind):
+            return make(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _container(value, level: int) -> str:
+    """A dict, list or tuple as JSON text; each child's token is computed once.
+
+    A container whose children are all leaves stays on one line; any other
+    puts each child on its own line, indented two spaces per level.
+    """
+    tokens, flat = [], True
+    for child in value.values() if isinstance(value, dict) else value:
+        token = _token(child)
+        if token is None:
+            token, flat = _container(child, level + 1), False
+        tokens.append(token)
+    if isinstance(value, dict):
+        opener, closer = "{", "}"
+        tokens = [f"{encode_basestring_ascii(str(k))}: {t}" for k, t in zip(value, tokens)]
+    else:
+        opener, closer = "[", "]"
+    if flat:
+        return opener + ", ".join(tokens) + closer
+    pad = "\n" + "  " * (level + 1)
+    return opener + pad + ("," + pad).join(tokens) + "\n" + "  " * level + closer
 
 
 def dumps(value) -> str:
     """Render a payload as deterministic JSON text (two-space indent, trailing newline)."""
-    return _emit(value, 0) + "\n"
+    token = _token(value)
+    return (_container(value, 0) if token is None else token) + "\n"

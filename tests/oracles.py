@@ -1,8 +1,10 @@
 """Independent oracles, kept away from the production code paths they check."""
 
 import itertools
+import json
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import scipy.linalg
@@ -10,6 +12,7 @@ import scipy.linalg
 from noonforge.errors import ShapeError, SpecError
 from noonforge.fock import FockBasis, QuantumState, enumerate_basis
 from noonforge.noon import noon_components
+from noonforge.serialize import RawNumber
 from noonforge.unitary import require_square
 
 
@@ -124,3 +127,58 @@ def apply_phase_shifts(obj, phases_deg):
         raise ShapeError(f"need one phase per port, got shape {phases.shape}")
     factors = np.exp(1j * np.radians(np.array(obj.basis.states) @ phases))
     return replace(obj, amplitudes=obj.amplitudes * factors)
+
+
+def _reference_scalar(value) -> str | None:
+    if isinstance(value, RawNumber):
+        return str(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Decimal):
+        return str(value)
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    return None
+
+
+def _reference_is_simple(value) -> bool:
+    if isinstance(value, dict):
+        return all(_reference_scalar(v) is not None for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_reference_scalar(v) is not None for v in value)
+    return False
+
+
+def _reference_emit(value, level: int) -> str:
+    token = _reference_scalar(value)
+    if token is not None:
+        return token
+    pad = "  " * (level + 1)
+    close = "  " * level
+    if isinstance(value, dict):
+        items = [f"{json.dumps(str(k))}: {_reference_emit(v, level + 1)}"
+                 for k, v in value.items()]
+        if _reference_is_simple(value):
+            return "{" + ", ".join(items) + "}"
+        return "{\n" + ",\n".join(pad + it for it in items) + "\n" + close + "}"
+    if isinstance(value, (list, tuple)):
+        items = [_reference_emit(v, level + 1) for v in value]
+        if _reference_is_simple(value):
+            return "[" + ", ".join(items) + "]"
+        return "[\n" + ",\n".join(pad + it for it in items) + "\n" + close + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_dumps(value) -> str:
+    """serialize.dumps by a recursive emitter that re-derives each leaf's token.
+
+    A container whose values are all leaves is written on one line, any other
+    with one child per line; json.dumps quotes every key and string.
+    """
+    return _reference_emit(value, 0) + "\n"

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from noonforge import MatrixFile, cli, reference, save_matrix, serialize
+from noonforge import MatrixFile, cli, fock, noon, reference, save_matrix, serialize
 from noonforge.cli import main
 from noonforge.fock import state_from_spec
 
@@ -145,6 +147,25 @@ def test_capacity_env_override(run, monkeypatch):
     monkeypatch.setenv("NOONFORGE_CAP", "5")
     code, _ = run("evolve", "--matrix", SPLITTER_II_PATH, "--input", "0,0,1,1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--photons", "200"],
+    ["evolve", "--input", "200,0,0,0"],
+    ["evolve", "--input", "|17,0,0,0> + |0,17,0,0>", "--json"],
+    ["noon", "--input", "200,0,0,0"],
+    ["noon", "--input", "9,8,0,0", "--select", "17,0,0,0"],
+])
+def test_photons_above_the_permanent_cap_refused_before_any_basis(argv, monkeypatch, capsys):
+    def no_basis(modes, photons):
+        raise AssertionError("basis built")
+    monkeypatch.setattr(fock, "enumerate_basis", no_basis)
+    monkeypatch.setattr(noon, "enumerate_basis", no_basis)
+    assert main([*argv, "--matrix", SPLITTER_II_PATH]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.match(r"noonforge: input error: a (\d+)x\1 permanent \(\1 photons\) "
+                    r"exceeds the cap of 16$", captured.err)
 
 
 # --- noon ----------------------------------------------------------------------

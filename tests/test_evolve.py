@@ -191,6 +191,64 @@ def test_photon_mismatch_rejected(hadamard_splitter):
         transition_amplitude(hadamard_splitter, (1, 1, 0), (1, 1))
 
 
+def test_transition_amplitude_refuses_more_photons_than_the_cap(monkeypatch):
+    def no_ports(occ):
+        raise AssertionError("port indices built")
+    monkeypatch.setattr(evolve, "_ports", no_ports)
+    big = (PERMANENT_CAP + 1, 0)
+    with pytest.raises(CapacityError, match="exceeds the cap of 16"):
+        transition_amplitude(np.eye(2), big, big)
+
+
+# --- cached sign tables and port indices --------------------------------------
+
+def test_cached_tables_are_read_only(hadamard_splitter):
+    transition_amplitude(hadamard_splitter, (2, 1), (1, 2))
+    deltas_t, signs = evolve._glynn_signs(3)
+    index, _ = evolve._port_cache[(2, 1)]
+    for table in (deltas_t, signs, index):
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+def test_sign_tables_are_complex():
+    for n in range(1, 10):
+        deltas_t, signs = evolve._glynn_signs(n)
+        assert deltas_t.dtype == signs.dtype == complex
+        assert deltas_t.shape == (n, 2 ** (n - 1))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_permanent_of_float_matrix_equals_its_complex_copy_bit_for_bit(n):
+    m = np.random.default_rng(RNG_SEED + n).standard_normal((n, n))
+    a, b = permanent(m), permanent(m.astype(complex))
+    assert a == b and repr(a) == repr(b)
+
+
+def test_numpy_int_occupations_match_plain_ints_bit_for_bit(operator_ii):
+    evolve._port_cache.clear()
+    pairs = [(occ_in, occ_out) for occ_in in enumerate_basis(4, 4)
+             for occ_out in ((4, 0, 0, 0), (1, 1, 1, 1), (0, 2, 0, 2))]
+    wide = [transition_amplitude(operator_ii, np.array(occ_in, dtype=np.int64),
+                                 tuple(np.int64(k) for k in occ_out))
+            for occ_in, occ_out in pairs]
+    assert evolve._port_cache
+    assert all(type(k) is int for key in evolve._port_cache for k in key)
+    for (occ_in, occ_out), amp in zip(pairs, wide):
+        plain = transition_amplitude(operator_ii, occ_in, occ_out)
+        assert plain == amp and repr(plain) == repr(amp)
+
+
+@pytest.mark.parametrize("bound", [evolve.PORT_CACHE_SIZE, 7])
+def test_port_cache_stays_within_its_bound(operator_ii, monkeypatch, bound):
+    evolve._port_cache.clear()
+    expected = sweep_inputs(operator_ii, 8)
+    monkeypatch.setattr(evolve, "PORT_CACHE_SIZE", bound)
+    evolve._port_cache.clear()
+    assert sweep_inputs(operator_ii, 8) == expected
+    assert 0 < len(evolve._port_cache) <= bound
+
+
 # --- evolve_state ------------------------------------------------------------
 
 def test_identity_evolution_is_identity():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noonforge import CapacityError, InputError, QuantumState, SpecError, enumerate_basis
-from noonforge.fock import state_from_spec, state_to_spec
+from noonforge import fock, serialize
+from noonforge.fock import amplitude_rows, parse_spec, state_from_spec, state_to_spec
 
 from oracles import brute_force_occupations
 
@@ -125,6 +126,17 @@ def test_cancelling_terms_rejected():
         state_from_spec("1*|1,0> + -1*|1,0>")
 
 
+def test_parse_spec_sums_repeated_kets_without_building_a_basis(monkeypatch):
+    def no_basis(modes, photons):
+        raise AssertionError("basis built")
+    monkeypatch.setattr(fock, "enumerate_basis", no_basis)
+    kets = parse_spec("0.5*|2,0> + |0,2> + 0.25*|2,0>")
+    assert kets == {(2, 0): 0.75, (0, 2): 1}
+    assert parse_spec("3,0,1") == {(3, 0, 1): 1}
+    with pytest.raises(SpecError, match="cancel"):
+        parse_spec("1*|1,0> + -1*|1,0>")
+
+
 def test_spec_roundtrip_single_ket():
     basis, state = state_from_spec("0,2,1,0")
     assert state_to_spec(state) == "0,2,1,0"
@@ -151,3 +163,23 @@ def test_amplitudes_are_immutable():
     basis, state = state_from_spec("1,0")
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
+
+
+# --- payload rows --------------------------------------------------------------
+
+def test_amplitude_rows_match_one_scalar_call_per_amplitude():
+    # Magnitudes and phases on a 6th-decimal rounding boundary, where a last
+    # bit of difference between two ways of taking abs or arg flips a token.
+    rng = np.random.default_rng(11)
+    mags = (rng.integers(1, 10 ** 6, 2000) + 0.5) / 1e6
+    degs = (rng.integers(-180 * 10 ** 6, 180 * 10 ** 6, 2000) + 0.5) / 1e6
+    amps = np.concatenate([mags * np.exp(1j * rng.uniform(-np.pi, np.pi, 2000)),
+                           rng.uniform(0.1, 2, 2000) * np.exp(1j * np.radians(degs)),
+                           [0, -0.0, -1e-13j, -1]])
+    states = [(i, 0) for i in range(len(amps))]
+    expected = [{"state": f"{i},0",
+                 "mag": serialize.fixed(abs(a), 6),
+                 "phase_deg": serialize.fixed(math.degrees(np.angle(a)), 6)}
+                for i, a in enumerate(amps)]
+    assert amplitude_rows(states, amps) == expected
+    assert amplitude_rows(states, list(amps)) == expected
