@@ -151,9 +151,6 @@ class TransitionTable(QuantumState):
 
     input: QuantumState
 
-    def output_state(self) -> QuantumState:
-        return QuantumState(self.basis, self.amplitudes)
-
     def sorted_components(self):
         """(occupations, amplitude) pairs sorted by descending magnitude.
 
@@ -208,34 +205,18 @@ def evolve_state(matrix, state: QuantumState) -> TransitionTable:
 def _generator_entries(a: np.ndarray, basis: FockBasis):
     """Nonzero entries (rows, cols, vals) of sum_mn A[m,n] adag_m a_n on `basis`.
 
-    Uses adag|k> = sqrt(k+1)|k+1> and a|k> = sqrt(k)|k-1>. Each state is keyed
-    by its occupations read as digits in base N+1; the state a mode pair
-    (m, n) raises is found by binary search over the sorted keys. Each pair
-    with A[m,n] != 0 contributes one block of entries, pair after pair. Within
-    a block every (row, col) is distinct; across blocks only the diagonal
-    repeats, since a raised state t != s fixes m and n.
+    adag_m a_n takes t + e_n to t + e_m, for t of one photon fewer, with the
+    factor sqrt(t_n+1) sqrt(t_m+1); the raise table gives rows and columns.
+    Each pair with A[m,n] != 0, n-major, gives one block, one entry per t in
+    basis order. t + e_m != t + e_n fixes m, n and t, so only the diagonal
+    repeats across blocks, and block (n, m) mirrors block (m, n) row for row.
     """
-    modes, base = basis.modes, basis.photons + 1
-    occ = np.array(basis.states, dtype=np.int64)
-    # Python-int keys where base^modes overflows int64 (many modes, few photons).
-    key_type = np.int64 if base ** modes < 2 ** 63 else object
-    radix = np.array([base ** i for i in range(modes)], dtype=key_type)
-    keys = occ.astype(key_type) @ radix
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    rows, cols, vals = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0, complex)]
-    for n_mode in range(modes):
-        src = np.flatnonzero(occ[:, n_mode])
-        root_k = np.sqrt(occ[src, n_mode])
-        lowered = keys[src] - radix[n_mode]
-        for m_mode in range(modes):
-            if a[m_mode, n_mode] == 0:
-                continue
-            l_m = occ[src, m_mode] - (m_mode == n_mode)
-            rows.append(order[np.searchsorted(sorted_keys, lowered + radix[m_mode])])
-            cols.append(src)
-            vals.append(a[m_mode, n_mode] * (root_k * np.sqrt(l_m + 1)))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    m_modes, n_modes = np.nonzero(a.T)[::-1]
+    raised = basis.raise_table
+    # sqrt(t_j + 1), cast first: a narrow integer dtype would root in float16
+    root = np.sqrt(basis.occupations[raised, np.arange(basis.modes)].astype(float))
+    vals = a[m_modes, n_modes] * (root[:, n_modes] * root[:, m_modes])
+    return raised[:, m_modes].T.ravel(), raised[:, n_modes].T.ravel(), vals.T.ravel()
 
 
 def fock_hamiltonian(coupling, basis: FockBasis) -> np.ndarray:
@@ -279,34 +260,32 @@ class _SparseGenerator(NamedTuple):
 def _sparse_generator(a: np.ndarray, basis: FockBasis) -> _SparseGenerator:
     """The generator of `a` on `basis` from its entries, checked Hermitian.
 
-    The diagonal is summed in pair order. Each (r, c) off the diagonal occurs
-    once, so those values equal the dense generator's. ShapeError on a
-    non-finite entry and NotHermitianError unless max |H - H^H| <=
-    HERMITIAN_TOL, the numbers the dense `require_hermitian` computes: each
-    off-diagonal value against the conjugate of its mirror entry, found by
-    binary search over the keys r*dim + c (0 where the mirror is not stored),
-    and the diagonal against its conjugate.
+    The diagonal is summed in pair order; each off-diagonal (r, c) occurs
+    once, so the values equal the dense generator's. ShapeError on a
+    non-finite entry; NotHermitianError unless max |H - H^H| <= HERMITIAN_TOL
+    as `require_hermitian` computes it: each block (m, n) against its mirror
+    block (n, m), 0 where A[n,m] == 0 leaves that out, and the diagonal.
     """
-    dim = len(basis)
-    rows, cols, vals = _generator_entries(a, basis)
-    on_diag = rows == cols
+    dim, modes = len(basis), basis.modes
+    m_modes, n_modes = np.nonzero(a.T)[::-1]  # the block order of _generator_entries
+    shape = (len(m_modes), len(basis.raise_table))
+    rows, cols, vals = (x.reshape(shape) for x in _generator_entries(a, basis))
+    by_pair = np.zeros((modes, modes, shape[1]), dtype=complex)
+    by_pair[m_modes, n_modes] = vals
+    off = m_modes != n_modes
     d = np.zeros(dim, dtype=complex)
-    np.add.at(d, rows[on_diag], vals[on_diag])
-    keys = rows[~on_diag] * dim + cols[~on_diag]
-    by_key = np.argsort(keys, kind="stable")
-    keys, cols, vals = keys[by_key], cols[~on_diag][by_key], vals[~on_diag][by_key]
+    np.add.at(d, rows[~off], vals[~off])
+    transposed = by_pair[n_modes[off], m_modes[off]].ravel()
+    rows, cols, vals = rows[off].ravel(), cols[off].ravel(), vals[off].ravel()
     if not (np.all(np.isfinite(d.view(float))) and np.all(np.isfinite(vals.view(float)))):
         raise ShapeError("matrix entries must be finite")
-    mirror = (keys % dim) * dim + keys // dim
-    at = np.searchsorted(keys, mirror)
-    stored = np.take(keys, at, mode="clip") == mirror
-    partner = np.where(stored, np.take(vals, at, mode="clip"), 0)
-    defect = max(np.max(np.abs(vals - partner.conj()), initial=0.0),
+    defect = max(np.max(np.abs(vals - transposed.conj()), initial=0.0),
                  np.max(np.abs(d - d.conj()), initial=0.0))
     if defect > HERMITIAN_TOL:
         raise NotHermitianError("matrix must be Hermitian")
-    nonempty, starts = np.unique(keys // dim, return_index=True)
-    return _SparseGenerator(d, cols, vals, nonempty, starts)
+    by_key = np.argsort(rows * dim + cols, kind="stable")
+    nonempty, starts = np.unique(rows[by_key], return_index=True)
+    return _SparseGenerator(d, cols[by_key], vals[by_key], nonempty, starts)
 
 
 def _propagate(h: _SparseGenerator, vector: np.ndarray) -> np.ndarray:

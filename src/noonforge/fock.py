@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 import re
@@ -40,26 +42,13 @@ def state_cap() -> int:
     return cap
 
 
-def basis_size(modes: int, photons: int) -> int:
-    """Number of occupation vectors of `photons` photons over `modes` ports."""
-    return math.comb(photons + modes - 1, modes - 1)
-
-
-def _occupations(photons: int, modes: int):
-    # Yields tuples in lexicographically descending order: (n,0,...,0) first.
-    if modes == 1:
-        yield (photons,)
-        return
-    for first in range(photons, -1, -1):
-        for rest in _occupations(photons - first, modes - 1):
-            yield (first,) + rest
-
-
 class FockBasis:
     """Complete, deterministically ordered n-photon basis over m ports.
 
     States are ordered lexicographically descending on the occupation tuple,
     so the bunched states |n,0,...,0>, ... appear at predictable positions.
+    `occupations` holds them as a read-only matrix (a byte per entry up to
+    255 photons), `states` as tuples built on first use.
     """
 
     def __init__(self, modes: int, photons: int):
@@ -67,27 +56,69 @@ class FockBasis:
             raise InputError(f"mode count must be at least 1, got {modes}")
         if photons < 0:
             raise InputError(f"photon number must be non-negative, got {photons}")
-        size = basis_size(modes, photons)
-        limit = state_cap()
+        slots = photons + modes - 1
+        size, limit = math.comb(slots, modes - 1), state_cap()
         if size > limit:
-            raise CapacityError(
-                f"basis of {size} states for {photons} photons over {modes} modes "
-                f"exceeds the cap of {limit}"
-            )
-        self.modes = modes
-        self.photons = photons
-        self.states: tuple[FockState, ...] = tuple(_occupations(photons, modes))
-        self._index = {state: i for i, state in enumerate(self.states)}
+            raise CapacityError(f"basis of {size} states for {photons} photons over "
+                                f"{modes} modes exceeds the cap of {limit}")
+        self.modes, self.photons = modes, photons
+        # Stars and bars: n_i is the gap between bars i-1 and i of modes-1 bars among
+        # photons+modes-1 slots, so descending occupations are descending bars.
+        ends = np.zeros((size, modes + 1), np.min_scalar_type(slots + 1))
+        bars = itertools.combinations(range(1, slots + 1), modes - 1)
+        ends[:, 1:-1] = np.fromiter(itertools.chain.from_iterable(bars), ends.dtype,
+                                    ends[:, 1:-1].size).reshape(size, -1)[::-1]
+        ends[:, -1] = slots + 1
+        self.occupations = (np.diff(ends) - 1).astype(np.min_scalar_type(photons))
+        self.occupations.flags.writeable = False
+        # s sits at sum_i fewer[i][r_i], r_i its photons after mode i: C(r+k-1, k) states,
+        # k = m-1-i, agree with s before i and put more in i (Knuth, TAOCP 4A, 7.2.1.3).
+        self._fewer = [[math.comb(r + k - 1, k) for r in range(photons + 1)]
+                       for k in range(modes - 1, 0, -1)]
+
+    @functools.cached_property
+    def states(self) -> tuple[FockState, ...]:
+        return tuple(map(tuple, self.occupations.tolist()))
+
+    @functools.cached_property
+    def raise_table(self) -> np.ndarray:
+        """[i, j]: position of t + e_j, t the i-th state of one photon fewer (read-only)."""
+        # The states t + e_0 come first, in t's order. t + e_j has the photons of
+        # t + e_0 after mode i, and one more where i < j.
+        ahead = self.occupations[self.occupations[:, 0] > 0]
+        rest = self.photons - np.cumsum(ahead[:, :-1], axis=1, dtype=np.intp)
+        i = np.arange(self.modes - 1)
+        fewer = np.array(self._fewer, np.intp).reshape(self.modes - 1, self.photons + 1)
+        raised = np.stack([fewer[i, rest + (i < j)].sum(axis=1) for j in range(self.modes)],
+                          axis=1)
+        raised.flags.writeable = False
+        return raised
+
+    def _position(self, occ: tuple) -> int | None:
+        """Position of `occ`, or None unless its entries are whole and equal a state's."""
+        try:
+            ints = tuple(map(int, occ))
+        except (TypeError, ValueError, OverflowError):
+            return None
+        rest, position = self.photons, 0
+        if ints != occ or len(ints) != self.modes or min(ints) < 0 or sum(ints) != rest:
+            return None
+        for fewer, n in zip(self._fewer, ints):
+            rest -= n
+            position += fewer[rest]
+        return position
 
     def index_of(self, state: FockState) -> int:
         """Position of `state`; KeyError if it is not in this basis."""
-        return self._index[tuple(state)]
+        if (position := self._position(occ := tuple(state))) is None:
+            raise KeyError(occ)
+        return position
 
     def __contains__(self, state) -> bool:
-        return tuple(state) in self._index
+        return self._position(tuple(state)) is not None
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.occupations)
 
     def __iter__(self):
         return iter(self.states)

@@ -133,8 +133,7 @@ def post_select(table: TransitionTable, kept) -> tuple[QuantumState, float]:
     if probability <= ZERO_WEIGHT:
         raise ZeroProbabilityError("post-selection kept zero probability")
     amps = np.zeros(len(table.basis), dtype=complex)
-    for i in indices:
-        amps[i] = table.amplitudes[i]
+    amps[indices] = table.amplitudes[indices]
     state = QuantumState(table.basis, amps / math.sqrt(probability)).canonical()
     return state, probability
 

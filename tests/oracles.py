@@ -35,14 +35,15 @@ def loop_fock_hamiltonian(coupling, basis: FockBasis) -> np.ndarray:
     """Second-quantized generator by a loop over states and mode pairs.
 
     Matrix elements of sum_mn A[m,n] adag_m a_n, using adag|k> = sqrt(k+1)|k+1>
-    and a|k> = sqrt(k)|k-1>, each raised state looked up in the basis index.
+    and a|k> = sqrt(k)|k-1>, each raised state looked up in a dict over
+    basis.states, so no position comes from the basis's own ranking.
     """
     a = require_square(coupling)
     if a.shape[0] != basis.modes:
         raise ShapeError(
             f"coupling matrix has {a.shape[0]} modes, basis has {basis.modes}")
-    dim = len(basis)
-    h = np.zeros((dim, dim), dtype=complex)
+    index = {state: i for i, state in enumerate(basis.states)}
+    h = np.zeros((len(index), len(index)), dtype=complex)
     for t_idx, occ in enumerate(basis.states):
         for n_mode in range(basis.modes):
             k_n = occ[n_mode]
@@ -56,7 +57,7 @@ def loop_fock_hamiltonian(coupling, basis: FockBasis) -> np.ndarray:
                 raised = list(lowered)
                 raised[m_mode] += 1
                 factor = math.sqrt(k_n) * math.sqrt(lowered[m_mode] + 1)
-                h[basis.index_of(tuple(raised)), t_idx] += a[m_mode, n_mode] * factor
+                h[index[tuple(raised)], t_idx] += a[m_mode, n_mode] * factor
     return h
 
 
@@ -65,6 +66,18 @@ def brute_force_occupations(modes: int, photons: int) -> set:
     return {
         occ for occ in itertools.product(range(photons + 1), repeat=modes)
         if sum(occ) == photons
+    }
+
+
+def photon_placements(modes: int, photons: int) -> set:
+    """All occupation tuples by counting the ports of each multiset of photons.
+
+    Reaches the wide bases (41 modes, 2 photons) whose filtered cartesian
+    product, 3^41 tuples, brute_force_occupations cannot enumerate.
+    """
+    return {
+        tuple(ports.count(j) for j in range(modes))
+        for ports in itertools.combinations_with_replacement(range(modes), photons)
     }
 
 

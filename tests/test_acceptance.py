@@ -222,7 +222,7 @@ def test_criterion_7d_unitarize_and_log_exp_roundtrips(splitter_ii):
 
 def test_criterion_7e_hom_exact(symmetric_splitter):
     table = evolve_ket(symmetric_splitter, "1,1")
-    out = table.output_state().canonical()
+    out = table.canonical()
     expected = np.zeros(3, dtype=complex)
     expected[out.basis.index_of((2, 0))] = 1 / math.sqrt(2)
     expected[out.basis.index_of((0, 2))] = 1 / math.sqrt(2)

@@ -320,7 +320,7 @@ def test_triple_input_quoted_bunched_magnitudes(operator_ii):
 
 def test_hom_output_state(symmetric_splitter):
     _, state = state_from_spec("1,1")
-    out = evolve_state(symmetric_splitter, state).output_state().canonical()
+    out = evolve_state(symmetric_splitter, state).canonical()
     expected = np.zeros(3, dtype=complex)
     basis = out.basis
     expected[basis.index_of((2, 0))] = 1 / math.sqrt(2)
@@ -418,7 +418,7 @@ def _coupling_with_zeros(modes, rng, scale=1.0):
 @pytest.mark.parametrize("modes,photons", [
     *((m, n) for m in range(1, 5) for n in range(9)),
     *((5, n) for n in range(6)),
-    (41, 2), (64, 1),  # base^modes overflows int64: Python-int keys
+    (41, 2), (64, 1),  # many modes, few photons
 ])
 def test_fock_hamiltonian_matches_loop_bit_for_bit(modes, photons):
     rng = np.random.default_rng(RNG_SEED + 10 * modes + photons)
@@ -503,6 +503,14 @@ def test_generator_check_refuses_a_coupling_just_inside_the_tolerance(coupling):
     state = QuantumState.from_occupations(enumerate_basis(2, 20), (10, 10))
     with pytest.raises(NotHermitianError):
         evolve_state_hamiltonian(np.array(coupling), state)
+
+
+def test_generator_check_counts_a_missing_mirror_block_as_zero():
+    # a[1,0] == 0 leaves the mirror block out; the a[0,1] entries, below
+    # 2e-11, are within HERMITIAN_TOL of zero.
+    state = QuantumState.from_occupations(enumerate_basis(2, 20), (10, 10))
+    out = evolve_state_hamiltonian(np.array([[0.0, 1e-12], [0.0, 0.0]]), state)
+    assert abs(out.norm() - 1.0) <= 1e-9
 
 
 def test_generator_check_refuses_non_finite_entries():

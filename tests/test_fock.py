@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from hypothesis import strategies as st
 
 from noonforge import CapacityError, InputError, QuantumState, SpecError, enumerate_basis
 from noonforge import fock, serialize
-from noonforge.fock import amplitude_rows, parse_spec, state_from_spec, state_to_spec
+from noonforge.fock import (FockBasis, amplitude_rows, parse_spec, state_from_spec,
+                           state_to_spec)
 
-from oracles import brute_force_occupations
+from oracles import brute_force_occupations, photon_placements
 
 
 def test_vacuum_basis():
@@ -45,6 +48,95 @@ def test_index_roundtrip(modes, photons):
     basis = enumerate_basis(modes, photons)
     for i, state in enumerate(basis.states):
         assert basis.index_of(state) == i
+
+
+@pytest.mark.parametrize("modes,photons", itertools.product(range(1, 7), range(9)))
+def test_states_are_every_occupation_in_descending_order(modes, photons):
+    basis = enumerate_basis(modes, photons)
+    assert basis.states == tuple(sorted(brute_force_occupations(modes, photons), reverse=True))
+
+
+@pytest.mark.parametrize("modes,photons", [(41, 2), (64, 1), (2, 300)])
+def test_wide_and_deep_bases_in_descending_order(modes, photons):
+    basis = enumerate_basis(modes, photons)
+    assert basis.states == tuple(sorted(photon_placements(modes, photons), reverse=True))
+    assert [basis.index_of(s) for s in basis.states] == list(range(len(basis)))
+
+
+@pytest.mark.parametrize("modes,photons", [
+    (1, 0), (1, 3), (2, 0), (3, 0), (4, 1), (4, 4), (3, 7), (6, 3), (41, 2), (2, 300)])
+def test_raise_table_positions_t_plus_e_j(modes, photons):
+    basis = FockBasis(modes, photons)
+    index = {state: i for i, state in enumerate(basis.states)}
+    lower = FockBasis(modes, photons - 1).states if photons else ()
+    expected = [[index[t[:j] + (t[j] + 1,) + t[j + 1:]] for j in range(modes)] for t in lower]
+    assert basis.raise_table.shape == (len(lower), modes)
+    assert basis.raise_table.tolist() == expected
+
+
+def test_occupations_and_raise_table_are_read_only():
+    basis = enumerate_basis(4, 3)
+    assert basis.occupations.tolist() == [list(s) for s in basis.states]
+    with pytest.raises(ValueError):
+        basis.occupations[0, 0] = 1
+    with pytest.raises(ValueError):
+        basis.raise_table[0, 0] = 1
+
+
+@pytest.mark.parametrize("modes,photons", [(1, 0), (1, 3), (2, 0), (4, 0), (4, 3), (2, 300)])
+def test_found_states_in_every_integer_form(modes, photons):
+    basis = enumerate_basis(modes, photons)
+    for i, state in enumerate(basis.states):
+        for form in (state, list(state), basis.occupations[i],
+                     np.array(state, dtype=np.int64), [float(n) for n in state],
+                     tuple(np.int64(n) for n in state)):
+            assert form in basis
+            assert basis.index_of(form) == i
+            assert type(basis.index_of(form)) is int
+
+
+@pytest.mark.parametrize("modes,photons", [(1, 0), (1, 3), (2, 0), (4, 0), (4, 3), (2, 300)])
+def test_states_outside_the_basis_are_refused_with_key_error(modes, photons):
+    basis = enumerate_basis(modes, photons)
+    first = basis.states[0]
+    bad = [(), first[:-1], first + (0,), (photons + 1,) + first[1:], (-1,) + first[1:],
+           (photons + 1,) + (0,) * (modes - 2) + (-1,), (photons - 0.5,) + first[1:],
+           (1.5,) * modes, (math.nan,) * modes, (math.inf,) * modes, ("1",) * modes,
+           (None,) * modes, ([1],) * modes]
+    for state in bad:
+        assert state not in basis, state
+        with pytest.raises(KeyError):
+            basis.index_of(state)
+
+
+_ENTRIES = st.one_of(st.integers(-3, 6), st.integers(-3, 6).map(float),
+                     st.floats(-3, 6, allow_nan=False), st.integers(250, 302))
+
+
+@settings(max_examples=300, deadline=None)
+@given(modes=st.integers(1, 4), photons=st.integers(0, 5),
+       state=st.lists(_ENTRIES, min_size=0, max_size=5))
+def test_membership_decided_as_a_dict_over_the_states(modes, photons, state):
+    basis = enumerate_basis(modes, photons)
+    index = {s: i for i, s in enumerate(basis.states)}
+    assert (state in basis) == (tuple(state) in index)
+    if tuple(state) in index:
+        assert basis.index_of(state) == index[tuple(state)]
+    else:
+        with pytest.raises(KeyError):
+            basis.index_of(state)
+
+
+def test_basis_memory_stays_near_its_occupation_matrix():
+    # 352,716 states of 12 bytes each; a tuple-and-dict basis peaked at 87.8 MiB.
+    tracemalloc.start()
+    try:
+        basis = enumerate_basis(12, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 352_716
+    assert peak <= 32 * 2 ** 20
 
 
 def test_capacity_cap():

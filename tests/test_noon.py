@@ -41,7 +41,7 @@ def pair_table(operator_ii):
 def test_full_basis_selection_keeps_everything(pair_table):
     state, probability = post_select(pair_table, pair_table.basis.states)
     assert probability == pytest.approx(1.0, abs=1e-9)
-    expected = pair_table.output_state().canonical()
+    expected = pair_table.canonical()
     assert np.allclose(state.amplitudes, expected.amplitudes, atol=1e-12)
 
 
@@ -180,8 +180,7 @@ def test_fidelity_is_one_iff_magnitudes_equal(mags, degs):
 # --- fidelity_against -----------------------------------------------------------
 
 def test_fidelity_with_itself(pair_table):
-    state = pair_table.output_state()
-    assert fidelity_against(state, state) == pytest.approx(1.0)
+    assert fidelity_against(pair_table, pair_table) == pytest.approx(1.0)
 
 
 def test_fidelity_orthogonal_states():
