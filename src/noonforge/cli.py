@@ -7,10 +7,10 @@
     noonforge reproduce [--matrix M.json] [--tol R] [--json]
 
 Scattering files are projected to the nearest unitary before any evolution.
-``--tol`` scales every reproduction tolerance band; it must be finite and
->= 0. Exit codes: 0 success, 1 reproduction-claim failure, 2 input error,
-3 numeric failure. The NOONFORGE_CAP environment variable overrides the
-basis-size cap.
+``--tol`` scales every reproduction tolerance band; it must be finite,
+>= 0 and small enough that every band stays finite. Exit codes: 0 success,
+1 reproduction-claim failure, 2 input error, 3 numeric failure. The
+NOONFORGE_CAP environment variable overrides the basis-size cap.
 """
 
 from __future__ import annotations

@@ -258,6 +258,8 @@ def parse_spec(spec: str) -> dict[FockState, complex]:
             raise SpecError(f"malformed term {chunk!r} in spec {spec!r}")
         amp = float(m.group("amp")) if m.group("amp") else 1.0
         phase_deg = float(m.group("phase")) if m.group("phase") else 0.0
+        if not (math.isfinite(amp) and math.isfinite(phase_deg)):
+            raise SpecError(f"term {chunk.strip()!r} has a non-finite amplitude or phase")
         occ = parse_occupations(m.group("ket"))
         terms.append((amp * np.exp(1j * np.deg2rad(phase_deg)), occ))
 

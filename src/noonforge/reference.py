@@ -16,9 +16,9 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import NoonforgeError
+from .errors import InputError, NoonforgeError
 from .evolve import evolution_operator, evolve_state
-from .fock import format_occupations, state_from_spec
+from .fock import QuantumState, enumerate_basis
 from .noon import extract_noon, post_select, sweep_inputs
 from .unitary import MatrixFile, load_matrix, unitarize, validate_symmetry
 
@@ -167,131 +167,105 @@ def _floor_claim(name: str, value: float, floor: float) -> Claim:
     return Claim(name, value >= floor, f"{value:.5f}", f">= {floor:.4f}")
 
 
+def _guarded(name: str, expected: str, compute, judge) -> list[Claim]:
+    """judge(compute()), or one failed claim `name` if compute raises a package error."""
+    try:
+        result = compute()
+    except NoonforgeError as exc:
+        return [Claim(name, False, f"error: {exc}", expected)]
+    return judge(result)
+
+
+def _prepared(u: np.ndarray, occ: tuple, quoted: dict, name: str, tol: float):
+    """Evolve the quoted input `occ` through `u`: its table, the amplitudes of the
+    `quoted` outputs, and the claim `name` on their magnitudes."""
+    state = QuantumState.from_occupations(enumerate_basis(len(occ), sum(occ)), occ)
+    table = evolve_state(u, state)
+    computed = {out: table.amplitude(out) for out in quoted}
+    return table, computed, _table_magnitude_claim(name, computed, quoted, tol)
+
+
 def reproduction_claims(matrix_file: MatrixFile | None = None,
                         tol_scale: float = 1.0) -> list[Claim]:
     """Evaluate every golden claim for the bundled (or substituted) splitter."""
     t = tol_scale
+    # Every other band scales t by a smaller factor, or is 1 minus such a product.
+    if not (t >= 0 and math.isfinite(t * max(RELATIVE_PHASE_TOL_DEG, SYMMETRY_TOL_PHASE_DEG))):
+        raise InputError(f"tol_scale must be non-negative and keep every tolerance "
+                         f"band finite, got {t}")
     mag_tol = MAGNITUDE_TOL * t
-    claims: list[Claim] = []
-
     mf2 = matrix_file if matrix_file is not None else bundled_matrix(SPLITTER_II)
     mf1 = bundled_matrix(SPLITTER_I)
     u = operator_from_file(mf2)
-
-    # Two-photon output table.
-    _, pair_in = state_from_spec(format_occupations(TWO_PHOTON_INPUT))
-    table2 = evolve_state(u, pair_in)
-    computed2 = {occ: table2.amplitude(occ) for occ in TWO_PHOTON_OUTPUT}
-    claims.append(_table_magnitude_claim(
-        "two-photon output magnitudes", computed2, TWO_PHOTON_OUTPUT,
-        mag_tol))
-    claims.append(_relative_phase_claim(
-        "two-photon output relative phases", computed2, TWO_PHOTON_OUTPUT,
-        RELATIVE_PHASE_TOL_DEG * t, DOMINANT_MAGNITUDE))
-
-    # Two-photon bunched extraction.
-    lo, hi = TWO_PHOTON_SUCCESS_RANGE
-    try:
-        report2 = extract_noon(table2)
-        claims.append(_band_claim("two-photon bunched success probability",
-                                  report2.success_probability,
-                                  (lo + hi) / 2, (hi - lo) / 2 * t))
-        claims.append(_floor_claim("two-photon bunched fidelity", report2.fidelity,
-                                   1 - (1 - TWO_PHOTON_FIDELITY_MIN) * t))
-        claims.append(_vector_claim("two-photon normalized magnitudes",
-                                    report2.normalized_amplitudes,
-                                    TWO_PHOTON_NOON_NORMALIZED, mag_tol))
-    except NoonforgeError as exc:
-        claims.append(Claim("two-photon bunched extraction", False,
-                            f"error: {exc}", f"success in [{lo}, {hi}]"))
-
-    # Same-side photon-pair branch.
-    lo, hi = ENTANGLED_PROBABILITY_RANGE
-    try:
-        selected, probability = post_select(table2, ENTANGLED_SELECTION)
-        mags = [abs(selected.amplitude(occ)) for occ in ENTANGLED_SELECTION]
-        claims.append(_band_claim("same-side pair branch probability", probability,
-                                  (lo + hi) / 2, (hi - lo) / 2 * t))
-        claims.append(_vector_claim("same-side pair magnitudes", mags,
-                                    ENTANGLED_MAGNITUDES, mag_tol))
-    except NoonforgeError as exc:
-        claims.append(Claim("same-side pair branch", False, f"error: {exc}",
-                            f"probability in [{lo}, {hi}]"))
-
-    # Three-photon preparation.
-    _, triple_in = state_from_spec(format_occupations(THREE_PHOTON_INPUT))
-    table3 = evolve_state(u, triple_in)
-    computed3 = {occ: table3.amplitude(occ) for occ in THREE_PHOTON_NOON}
-    claims.append(_table_magnitude_claim(
-        "three-photon bunched magnitudes", computed3, THREE_PHOTON_NOON,
-        mag_tol))
-    try:
-        report3 = extract_noon(table3)
-        claims.append(_band_claim("three-photon success probability",
-                                  report3.success_probability,
-                                  THREE_PHOTON_SUCCESS,
-                                  THREE_PHOTON_SUCCESS_TOL * t))
-        claims.append(_band_claim("three-photon fidelity", report3.fidelity,
-                                  THREE_PHOTON_FIDELITY,
-                                  THREE_PHOTON_FIDELITY_TOL * t))
-        claims.append(_vector_claim("three-photon normalized magnitudes",
-                                    report3.normalized_amplitudes,
-                                    THREE_PHOTON_NOON_NORMALIZED, mag_tol))
-    except NoonforgeError as exc:
-        claims.append(Claim("three-photon bunched extraction", False,
-                            f"error: {exc}", "success 0.348 +- 0.02"))
-
-    # Four-photon preparation.
-    _, quad_in = state_from_spec(format_occupations(FOUR_PHOTON_INPUT))
-    table4 = evolve_state(u, quad_in)
-    computed4 = {occ: table4.amplitude(occ) for occ in FOUR_PHOTON_NOON}
-    claims.append(_table_magnitude_claim(
-        "four-photon bunched magnitudes", computed4, FOUR_PHOTON_NOON,
-        mag_tol))
-    try:
-        report4 = extract_noon(table4)
-        bands = " or ".join(f"{c} +- {w * t:.4f}"
-                            for c, w in FOUR_PHOTON_SUCCESS_BANDS)
-        ok = any(abs(report4.success_probability - center) <= width * t
-                 for center, width in FOUR_PHOTON_SUCCESS_BANDS)
-        claims.append(Claim("four-photon success probability", ok,
-                            f"{report4.success_probability:.4f}", bands))
-        claims.append(_floor_claim("four-photon fidelity", report4.fidelity,
-                                   1 - (1 - FOUR_PHOTON_FIDELITY_MIN) * t))
-        claims.append(_vector_claim("four-photon normalized magnitudes",
-                                    report4.normalized_amplitudes,
-                                    FOUR_PHOTON_NOON_NORMALIZED, mag_tol))
-    except NoonforgeError as exc:
-        claims.append(Claim("four-photon bunched extraction", False,
-                            f"error: {exc}", "success 0.337 or 0.348 band"))
-
-    # Input-distribution ranking.
-    try:
-        rows = dict((occ, r.success_probability) for occ, r in sweep_inputs(u, 4))
-        spread, conc = rows[(1, 1, 1, 1)], rows[(4, 0, 0, 0)]
-        claims.append(Claim(
-            "spread input outranks concentrated input", spread > conc,
-            f"success {spread:.4f} (spread) vs {conc:.4f} (concentrated)",
-            "spread strictly higher"))
-    except NoonforgeError as exc:
-        claims.append(Claim("spread input outranks concentrated input", False,
-                            f"error: {exc}", "spread strictly higher"))
-
-    # Symmetry structure of the scattering data itself.
+    table2, computed2, magnitudes2 = _prepared(u, TWO_PHOTON_INPUT, TWO_PHOTON_OUTPUT,
+                                               "two-photon output magnitudes", mag_tol)
+    table3, _, magnitudes3 = _prepared(u, THREE_PHOTON_INPUT, THREE_PHOTON_NOON,
+                                       "three-photon bunched magnitudes", mag_tol)
+    table4, _, magnitudes4 = _prepared(u, FOUR_PHOTON_INPUT, FOUR_PHOTON_NOON,
+                                       "four-photon bunched magnitudes", mag_tol)
+    # No package error: u is evolvable, the 4-photon basis fit the cap, zero weight is caught.
+    success = dict((occ, r.success_probability) for occ, r in sweep_inputs(u, 4))
+    spread, conc = success[(1, 1, 1, 1)], success[(4, 0, 0, 0)]
     violations = validate_symmetry(
         mf1.to_array(), SYMMETRY_TOL_MAG * t, SYMMETRY_TOL_PHASE_DEG * t)
-    claims.append(Claim(
-        "splitter-I symmetry pattern",
-        len(violations) <= SYMMETRY_MAX_VIOLATIONS,
-        f"{len(violations)} violations",
-        f"<= {SYMMETRY_MAX_VIOLATIONS} at tolerance "
-        f"({SYMMETRY_TOL_MAG * t}, {SYMMETRY_TOL_PHASE_DEG * t} deg)"))
     m2 = mf2.to_array()
     off_band = sum(abs(float(np.linalg.norm(m2[:, c])) - 1.0) > COLUMN_NORM_TOL * t
                    for c in range(m2.shape[1]))
-    claims.append(Claim(
-        "splitter-II column norms", not off_band,
-        f"{off_band} columns out of band",
-        f"all within {COLUMN_NORM_TOL * t} of 1"))
+    two_lo, two_hi = TWO_PHOTON_SUCCESS_RANGE
+    pair_lo, pair_hi = ENTANGLED_PROBABILITY_RANGE
+    four_bands = " or ".join(f"{c} +- {w * t:.4f}" for c, w in FOUR_PHOTON_SUCCESS_BANDS)
 
-    return claims
+    return [
+        magnitudes2,
+        _relative_phase_claim("two-photon output relative phases", computed2,
+                              TWO_PHOTON_OUTPUT, RELATIVE_PHASE_TOL_DEG * t,
+                              DOMINANT_MAGNITUDE),
+        *_guarded("two-photon bunched extraction", f"success in [{two_lo}, {two_hi}]",
+                  lambda: extract_noon(table2), lambda report: [
+            _band_claim("two-photon bunched success probability",
+                        report.success_probability,
+                        (two_lo + two_hi) / 2, (two_hi - two_lo) / 2 * t),
+            _floor_claim("two-photon bunched fidelity", report.fidelity,
+                         1 - (1 - TWO_PHOTON_FIDELITY_MIN) * t),
+            _vector_claim("two-photon normalized magnitudes",
+                          report.normalized_amplitudes, TWO_PHOTON_NOON_NORMALIZED,
+                          mag_tol)]),
+        *_guarded("same-side pair branch", f"probability in [{pair_lo}, {pair_hi}]",
+                  lambda: post_select(table2, ENTANGLED_SELECTION), lambda branch: [
+            _band_claim("same-side pair branch probability", branch[1],
+                        (pair_lo + pair_hi) / 2, (pair_hi - pair_lo) / 2 * t),
+            _vector_claim("same-side pair magnitudes",
+                          [abs(branch[0].amplitude(occ)) for occ in ENTANGLED_SELECTION],
+                          ENTANGLED_MAGNITUDES, mag_tol)]),
+        magnitudes3,
+        *_guarded("three-photon bunched extraction", "success 0.348 +- 0.02",
+                  lambda: extract_noon(table3), lambda report: [
+            _band_claim("three-photon success probability", report.success_probability,
+                        THREE_PHOTON_SUCCESS, THREE_PHOTON_SUCCESS_TOL * t),
+            _band_claim("three-photon fidelity", report.fidelity,
+                        THREE_PHOTON_FIDELITY, THREE_PHOTON_FIDELITY_TOL * t),
+            _vector_claim("three-photon normalized magnitudes",
+                          report.normalized_amplitudes, THREE_PHOTON_NOON_NORMALIZED,
+                          mag_tol)]),
+        magnitudes4,
+        *_guarded("four-photon bunched extraction", "success 0.337 or 0.348 band",
+                  lambda: extract_noon(table4), lambda report: [
+            Claim("four-photon success probability",
+                  any(abs(report.success_probability - center) <= width * t
+                      for center, width in FOUR_PHOTON_SUCCESS_BANDS),
+                  f"{report.success_probability:.4f}", four_bands),
+            _floor_claim("four-photon fidelity", report.fidelity,
+                         1 - (1 - FOUR_PHOTON_FIDELITY_MIN) * t),
+            _vector_claim("four-photon normalized magnitudes",
+                          report.normalized_amplitudes, FOUR_PHOTON_NOON_NORMALIZED,
+                          mag_tol)]),
+        Claim("spread input outranks concentrated input", spread > conc,
+              f"success {spread:.4f} (spread) vs {conc:.4f} (concentrated)",
+              "spread strictly higher"),
+        Claim("splitter-I symmetry pattern", len(violations) <= SYMMETRY_MAX_VIOLATIONS,
+              f"{len(violations)} violations",
+              f"<= {SYMMETRY_MAX_VIOLATIONS} at tolerance "
+              f"({SYMMETRY_TOL_MAG * t}, {SYMMETRY_TOL_PHASE_DEG * t} deg)"),
+        Claim("splitter-II column norms", not off_band, f"{off_band} columns out of band",
+              f"all within {COLUMN_NORM_TOL * t} of 1"),
+    ]

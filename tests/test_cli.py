@@ -1,4 +1,7 @@
+import json
 import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,9 @@ from noonforge.cli import main
 from noonforge.fock import state_from_spec
 
 SPLITTER_II_PATH = str(reference.data_path("splitter_ii.json"))
+# reproduce --json stdout and exit code on paths where claims fail, error claims included
+REPRODUCE_FAILURES = json.loads(
+    (Path(__file__).resolve().parent / "goldens" / "reproduce_failures.json").read_text())
 
 
 @pytest.fixture
@@ -141,6 +147,18 @@ def test_evolve_wrong_mode_count(run):
 def test_evolve_bad_spec(run):
     code, _ = run("evolve", "--matrix", SPLITTER_II_PATH, "--input", "0,-1,0,0")
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", [
+    "1@1" + "0" * 400 + "*|1,1,0,0>",
+    "1" + "0" * 400 + "*|1,1,0,0>",
+    "|1,1,0,0> + 1@-1" + "0" * 400 + "*|0,0,1,1>",
+], ids=["phase", "amplitude", "second-term-phase"])
+def test_evolve_rejects_non_finite_spec_terms(spec, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--matrix", SPLITTER_II_PATH, "--input", spec]) == 2
+    assert capsys.readouterr().err.endswith("has a non-finite amplitude or phase\n")
 
 
 def test_capacity_env_override(run, monkeypatch):
@@ -334,3 +352,21 @@ def test_reproduce_tiny_tolerance_fails(run):
     code, output = run("reproduce", "--tol", "1e-6")
     assert code == 1
     assert "[FAIL]" in output
+
+
+@pytest.mark.parametrize("tol, code", [("5e307", 2), ("1e308", 2), ("1e300", 0)])
+def test_reproduce_tolerance_bands_stay_finite(tol, code, capsys):
+    assert main(["reproduce", "--tol", tol]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("noonforge: input error: tol_scale ") if code else err == ""
+
+
+@pytest.mark.parametrize("name", sorted(REPRODUCE_FAILURES))
+def test_reproduce_failure_paths_match_golden(name, run, tmp_path):
+    golden = REPRODUCE_FAILURES[name]
+    argv = ["reproduce", "--json", "--tol", golden["tol"]]
+    if golden["matrix"] is not None:
+        path = tmp_path / "substitute.json"
+        save_matrix(path, MatrixFile.from_array(np.array(golden["matrix"]), name))
+        argv += ["--matrix", str(path)]
+    assert run(*argv) == (golden["exit"], golden["stdout"])
