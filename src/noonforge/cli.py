@@ -11,11 +11,15 @@ Scattering files are projected to the nearest unitary before any evolution.
 >= 0 and small enough that every band stays finite. Exit codes: 0 success,
 1 reproduction-claim failure, 2 input error, 3 numeric failure. The
 NOONFORGE_CAP environment variable overrides the basis-size cap.
+
+``main(argv)`` may be called any number of times in one process. It builds
+its argument parser on the first call and reuses it after that.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -197,7 +201,15 @@ def _tolerance_scale(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser `main` uses, built on its first call.
+
+    Sharing it is safe: parse_args builds a new Namespace on every call and
+    leaves the parser unchanged, and help and usage text is formatted when
+    it is printed. Callers outside `main` must not get it, since a change
+    they made would reach every later call.
+    """
     parser = argparse.ArgumentParser(
         prog="noonforge",
         description="Fock-state interference through four-port splitter matrices.")
@@ -241,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "unitarize":
             return cmd_unitarize(args.matrix, args.out, args.json)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -170,10 +171,20 @@ class QuantumState:
         return abs(self.norm() - 1.0) <= 1e-9
 
     def normalized(self) -> "QuantumState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero state")
-        return QuantumState(self.basis, self.amplitudes / n)
+        """This state over its norm, for any finite nonzero amplitudes.
+
+        The amplitudes are first scaled by the power of two that brings the
+        largest real or imaginary part into [0.5, 1), so the norm neither
+        overflows nor underflows. The scaling is exact for parts in the
+        normal range, so there the result equals the plain quotient bit for
+        bit.
+        """
+        parts = self.amplitudes.view(np.float64)
+        peak = float(np.max(np.abs(parts), initial=0.0))
+        if not 0.0 < peak < math.inf:
+            raise ValueError("cannot normalize a zero or non-finite state")
+        scaled = np.ldexp(parts, -math.frexp(peak)[1]).view(complex)
+        return QuantumState(self.basis, scaled / np.linalg.norm(scaled))
 
     def canonical(self) -> "QuantumState":
         """Rotate the global phase so the first nonzero amplitude is real-positive."""
@@ -243,7 +254,8 @@ def parse_spec(spec: str) -> dict[FockState, complex]:
     ``"0.7*|2,0> + 0.7@90*|0,2>"``. Only a ``+`` after a closing ``>`` joins
     terms, so amplitudes and phases may carry an explicit sign. Kets keep
     the order they first appear in. SpecError if the terms mix mode or
-    photon numbers or cancel to the zero state; no basis is built.
+    photon numbers, if the terms on one ket sum to a non-finite coefficient
+    or if they cancel to the zero state; no basis is built.
     """
     text = spec.strip()
     if not text:
@@ -261,7 +273,8 @@ def parse_spec(spec: str) -> dict[FockState, complex]:
         if not (math.isfinite(amp) and math.isfinite(phase_deg)):
             raise SpecError(f"term {chunk.strip()!r} has a non-finite amplitude or phase")
         occ = parse_occupations(m.group("ket"))
-        terms.append((amp * np.exp(1j * np.deg2rad(phase_deg)), occ))
+        # a Python complex: a sum past the float range gives inf, not a numpy warning
+        terms.append((complex(amp * np.exp(1j * np.deg2rad(phase_deg))), occ))
 
     modes = len(terms[0][1])
     photons = sum(terms[0][1])
@@ -274,7 +287,11 @@ def parse_spec(spec: str) -> dict[FockState, complex]:
                 f"terms mix photon numbers {photons} and {sum(occ)} in spec {spec!r}"
             )
         kets[occ] = kets.get(occ, 0j) + coeff
-    if np.linalg.norm(list(kets.values())) == 0.0:
+    for occ, coeff in kets.items():
+        if not cmath.isfinite(coeff):
+            raise SpecError(f"the terms on |{format_occupations(occ)}> sum to a "
+                            f"non-finite coefficient in spec {spec!r}")
+    if not any(kets.values()):
         raise SpecError(f"terms cancel to the zero state in spec {spec!r}")
     return kets
 

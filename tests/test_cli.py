@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import warnings
@@ -14,6 +15,10 @@ SPLITTER_II_PATH = str(reference.data_path("splitter_ii.json"))
 # reproduce --json stdout and exit code on paths where claims fail, error claims included
 REPRODUCE_FAILURES = json.loads(
     (Path(__file__).resolve().parent / "goldens" / "reproduce_failures.json").read_text())
+# stdout, stderr and exit code of the help and usage paths, recorded with COLUMNS=80
+CLI_HELP = json.loads(
+    (Path(__file__).resolve().parent / "goldens" / "cli_help.json").read_text())
+PAPER_GOLDENS = Path(__file__).resolve().parent.parent / "benchmarks" / "goldens" / "paper.json"
 
 
 @pytest.fixture
@@ -159,6 +164,48 @@ def test_evolve_rejects_non_finite_spec_terms(spec, capsys):
         warnings.simplefilter("error")
         assert main(["evolve", "--matrix", SPLITTER_II_PATH, "--input", spec]) == 2
     assert capsys.readouterr().err.endswith("has a non-finite amplitude or phase\n")
+
+
+BIG = "9" * 308  # 1e308, finite, but its square overflows
+TINY = "0." + "0" * 200 + "1"  # 1e-201, nonzero, but its square underflows
+HALF_MAX = "15" + "0" * 307  # 1.5e308
+
+
+@pytest.mark.parametrize("command, spec, same_as", [
+    ("evolve", BIG + "*|1,1,0,0>", "1,1,0,0"),
+    ("evolve", BIG + "@30*|1,1,0,0> + 0.5*|0,0,1,1>", "1@30*|1,1,0,0>"),
+    ("evolve", f"{HALF_MAX}*|1,1,0,0> + {HALF_MAX}@90*|1,1,0,0>", "1@45*|1,1,0,0>"),
+    ("evolve", f"{TINY}*|1,1,0,0> + {TINY}@90*|0,0,1,1>", "|1,1,0,0> + 1@90*|0,0,1,1>"),
+    ("noon", TINY + "*|1,1,0,0>", "1,1,0,0"),
+    ("noon", BIG + "*|1,1,0,0>", "1,1,0,0"),
+], ids=["big", "big-beside-small", "big-parts-sum", "tiny-pair", "noon-tiny", "noon-big"])
+def test_spec_coefficients_are_scaled_before_the_norm(command, spec, same_as, capsys):
+    """A finite nonzero coefficient names its ket however large or small it is."""
+    argv = [command, "--json", "--matrix", SPLITTER_II_PATH, "--input"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, spec]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert main([*argv, same_as]) == 0
+    expected = serialize.loads(capsys.readouterr().out)
+    got = serialize.loads(captured.out)
+    if command == "noon":  # noon echoes the spec as given
+        del expected["input"], got["input"]
+    assert got == expected
+
+
+@pytest.mark.parametrize("spec", [
+    f"{'1' + '0' * 308}*|1,1,0,0> + |0,0,1,1> + {'1' + '0' * 308}*|1,1,0,0>",
+    f"{BIG}@90*|1,1,0,0> + {BIG}@90*|1,1,0,0>",
+], ids=["real-sum-beside-another-ket", "imaginary-sum"])
+def test_spec_terms_summing_past_the_float_range_are_refused(spec, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--matrix", SPLITTER_II_PATH, "--input", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("noonforge: input error: the terms on |1,1,0,0> sum to a "
+                          "non-finite coefficient in spec ")
 
 
 def test_capacity_env_override(run, monkeypatch):
@@ -370,3 +417,50 @@ def test_reproduce_failure_paths_match_golden(name, run, tmp_path):
         save_matrix(path, MatrixFile.from_array(np.array(golden["matrix"]), name))
         argv += ["--matrix", str(path)]
     assert run(*argv) == (golden["exit"], golden["stdout"])
+
+
+# --- argument parser ------------------------------------------------------------
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["evolve", "--matrix", SPLITTER_II_PATH, "--input", "0,0,1,1"]) == 0
+    built.clear()
+    for argv in (["evolve", "--json", "--matrix", SPLITTER_II_PATH, "--input", "1,1,0,0"],
+                 ["noon", "--matrix", SPLITTER_II_PATH, "--input", "1,1,1,1"],
+                 ["sweep", "--matrix", SPLITTER_II_PATH, "--photons", "2"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys):
+    for argv, code in ((["sweep"], 2), (["--help"], 0), (["reproduce", "--tol", "nan"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    assert main(["noon", "--json", "--matrix", SPLITTER_II_PATH, "--input", "0,0,1,1",
+                 "--select", "1,1,0,0;0,0,1,1"]) == 0
+    capsys.readouterr()
+    # a --select left over from the call before would print a post-selection instead
+    assert main(["noon", "--json", "--matrix", SPLITTER_II_PATH, "--input", "0,0,1,1"]) == 0
+    captured = capsys.readouterr()
+    golden = json.loads(PAPER_GOLDENS.read_text())["noon-0,0,1,1"]
+    assert (captured.out, captured.err) == (golden["stdout"], "")
+
+
+@pytest.mark.parametrize("name", list(CLI_HELP))
+def test_help_and_usage_match_golden(name, monkeypatch, capsys):
+    golden = CLI_HELP[name]
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(golden["argv"])
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, exc.value.code) == (
+        golden["stdout"], golden["stderr"], golden["code"])

@@ -251,6 +251,39 @@ def test_normalized_rejects_zero():
         state.normalized()
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(1.0, math.nan)])
+def test_normalized_rejects_non_finite_amplitudes(bad):
+    state = QuantumState(enumerate_basis(2, 1), np.array([bad, 1.0]))
+    with pytest.raises(ValueError):
+        state.normalized()
+
+
+@pytest.mark.parametrize("amps, expected", [
+    ([1e308, 1e308j], [1 / math.sqrt(2), 1j / math.sqrt(2)]),
+    ([1.5e308 + 1.5e308j, 0.0], [(1 + 1j) / math.sqrt(2), 0.0]),
+    ([1e-201, 0.0], [1.0, 0.0]),
+    ([5e-324j, 0.0], [1j, 0.0]),
+])
+def test_normalized_survives_norms_outside_the_float_range(amps, expected):
+    with np.errstate(all="raise"):
+        state = QuantumState(enumerate_basis(2, 1), np.array(amps)).normalized()
+    assert np.allclose(state.amplitudes, expected, rtol=0, atol=1e-15)
+
+
+_PART = st.one_of(st.just(0.0), st.floats(1e-50, 1e50), st.floats(-1e50, -1e-50))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(complex, _PART, _PART), min_size=1, max_size=8))
+def test_normalized_equals_the_plain_quotient_bit_for_bit(values):
+    amps = np.array(values, dtype=complex)
+    if not amps.any():
+        return
+    state = QuantumState(enumerate_basis(len(values), 1), amps).normalized()
+    plain = amps / np.linalg.norm(amps)
+    assert state.amplitudes.view(np.float64).tolist() == plain.view(np.float64).tolist()
+
+
 def test_amplitudes_are_immutable():
     basis, state = state_from_spec("1,0")
     with pytest.raises(ValueError):
