@@ -1,15 +1,19 @@
 """Multiphoton Fock-state evolution through a unitary multiport.
 
-The production path computes transition amplitudes from matrix permanents of
-repeated-row/column submatrices. An independent path builds the nonzero
-entries of the second-quantized generator on the n-photon basis and
-propagates the state by a Chebyshev series of sparse mat-vecs on the
-generator's Gershgorin interval; it serves as a cross-check.
+The production path computes each transition amplitude from one matrix
+permanent of a repeated-row/column submatrix, by Glynn's formula with the
+copies of each output port summed by their count: an output holding
+s_1 >= s_2 >= ... photons in its occupied ports costs
+(s_1//2 + 1) prod_(r>1) (s_r + 1) terms instead of 2^(N-1) (Glynn 2010;
+Chin & Huh 2018, Sci. Rep. 8:6101). The terms' tables are cached per sorted
+occupations and hold at most TABLE_CACHE_BYTES together. An independent
+path builds the nonzero entries of the second-quantized generator on the
+n-photon basis and propagates the state by a Chebyshev series of sparse
+mat-vecs on the generator's Gershgorin interval; it serves as a cross-check.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,19 +40,45 @@ HAMILTONIAN_WORK_CAP = 2 ** 30
 CHEBYSHEV_CUTOFF = 1e-15
 
 
-@functools.cache
-def _glynn_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 2^(n-1) sign vectors with delta_0 = +1 as columns, and their sign products.
+# Most bytes the Glynn tables may hold together: the largest table, all-ones
+# at PERMANENT_CAP columns, holds 8.5 MiB. A full cache drops its oldest.
+TABLE_CACHE_BYTES = 2 ** 25
+_table_cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    Both are complex and read-only: a complex matrix times a float table
-    would convert the table to complex on every call.
+
+def _glynn_table(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Glynn's sign vectors for columns repeated `counts` times (sorted descending).
+
+    One column per vector f of flipped copies, f_c in 0..counts[c] and f_0 in
+    0..counts[0] // 2, with f_1 varying fastest: the coefficients
+    counts[c] - 2 f_c as rows, and the weights prod_c C(m_c, f_c) (-1)^f_c
+    over 2^(n-1), halved where 2 f_0 = m_0. For all-ones counts these are the
+    2^(n-1) sign vectors with delta_0 = +1 and their sign products over
+    2^(n-1); a power of two scales a sum exactly, so folding it into the
+    weights changes no bit of the result. Both are complex and read-only,
+    cached per `counts`: a complex matrix times a float table would convert
+    the table to complex on every call.
     """
-    k = np.arange(1 << (n - 1))
-    flips = (k >> np.arange(n - 1)[:, None]) & 1
-    deltas_t = np.vstack([np.ones((1, k.size)), 1.0 - 2.0 * flips])
-    deltas_t, signs = deltas_t.astype(complex), deltas_t.prod(axis=0).astype(complex)
-    deltas_t.flags.writeable = signs.flags.writeable = False
-    return deltas_t, signs
+    entry = _table_cache.get(counts)
+    if entry is not None:
+        return entry
+    sizes = (counts[0] // 2 + 1, *(k + 1 for k in counts[1:]))
+    flips = np.indices(sizes[::-1]).reshape(len(sizes), -1)[::-1]
+    weights = np.ones(flips.shape[1])
+    for k, f in zip(counts, flips):
+        weights *= np.array([(-1) ** j * math.comb(k, j) for j in range(k + 1)])[f]
+    weights[2 * flips[0] == counts[0]] /= 2
+    coeffs = (np.array(counts)[:, None] - 2 * flips).astype(complex)
+    weights = (weights / 2 ** (sum(counts) - 1)).astype(complex)
+    coeffs.flags.writeable = weights.flags.writeable = False
+    while _table_cache and _table_bytes() + coeffs.nbytes + weights.nbytes > TABLE_CACHE_BYTES:
+        del _table_cache[next(iter(_table_cache))]
+    entry = _table_cache[counts] = coeffs, weights
+    return entry
+
+
+def _table_bytes() -> int:
+    return sum(c.nbytes + w.nbytes for c, w in _table_cache.values())
 
 
 def require_permanent_size(n: int) -> None:
@@ -58,80 +88,126 @@ def require_permanent_size(n: int) -> None:
             f"a {n}x{n} permanent ({n} photons) exceeds the cap of {PERMANENT_CAP}")
 
 
-def permanent(matrix) -> complex:
-    """Matrix permanent by Glynn's formula over all sign vectors at once.
+def _occupations(occ: tuple, role: str) -> tuple[int, ...]:
+    """`occ` as non-negative Python ints; ShapeError on anything else."""
+    if not all(type(n) is int for n in occ):
+        if not all(type(n) is int or isinstance(n, np.integer) for n in occ):
+            raise ShapeError(f"{role} must be integers: {occ}")
+        occ = tuple(int(n) for n in occ)
+    if min(occ, default=0) < 0:
+        raise ShapeError(f"{role} must be non-negative: {occ}")
+    return occ
 
-    per(A) = 2^-(n-1) sum_delta (prod_k delta_k) prod_j sum_i delta_i A[i,j],
-    summed over the 2^(n-1) vectors delta in {+1,-1}^n with delta_0 = +1
-    (Glynn 2010). That is one (n x n) @ (n x 2^(n-1)) product, a column
-    product and a dot: O(2^(n-1) * n) work, with no Python loop. The complex
-    sign table is cached per n; at n = PERMANENT_CAP = 16 it holds 8.5 MiB,
-    and the tables for every n up to the cap hold 16 MiB together.
+
+def permanent(matrix, counts=None) -> complex:
+    """Permanent of `matrix` with column c repeated counts[c] times (default once).
+
+    Glynn's formula, per(A) = 2^-(n-1) sum_delta (prod_k delta_k)
+    prod_i sum_j delta_j A[i,j] over the sign vectors delta with delta_0 = +1,
+    sums the copies of a repeated column together: a term per vector f of
+    flipped copies, weighted by prod_c C(m_c, f_c) (-1)^f_c (Glynn 2010;
+    Chin & Huh 2018, Sci. Rep. 8:6101). The global flip f -> m - f leaves a
+    term unchanged, so f_0 stops at m_0 / 2 with the largest count first.
+    That is (m_0 // 2 + 1) prod_(c>0) (m_c + 1) terms, 2^(n-1) with no
+    repeats, each one column of an (n x k) @ (k x terms) product, then a
+    column product and a dot, with no Python loop. The tables are cached per
+    descending counts, so one per partition of n at most, and hold at most
+    TABLE_CACHE_BYTES together. The all-ones table at n = PERMANENT_CAP = 16
+    holds 8.5 MiB; the tables of every partition of 16 into four parts or
+    fewer, all a 4-mode amplitude of 16 photons reaches, hold 0.65 MiB.
     """
-    a = require_square(matrix)
+    if counts is None:
+        a = require_square(matrix).T
+        counts = (1,) * a.shape[0]
+    else:
+        a = np.asarray(matrix, dtype=complex)
+        counts = _occupations(tuple(counts), "column counts")
+        if a.shape != (sum(counts), len(counts)):
+            raise ShapeError(f"expected a ({sum(counts)}, {len(counts)}) matrix for "
+                             f"column counts {counts}, got shape {a.shape}")
     n = a.shape[0]
     require_permanent_size(n)
     if n == 0:
         return 1 + 0j
-    deltas_t, signs = _glynn_signs(n)
-    # prod(axis=0) multiplies n long contiguous rows elementwise; the
-    # untransposed form reduces 2^(n-1) short rows, about 4x slower at n = 9.
-    return complex(np.dot((a.T @ deltas_t).prod(axis=0), signs) / 2 ** (n - 1))
+    key = tuple(sorted(counts, reverse=True))
+    if key != counts:
+        a = a[:, sorted(range(len(counts)), key=counts.__getitem__, reverse=True)]
+    coeffs, weights = _glynn_table(key)
+    # prod(axis=0) multiplies n long contiguous rows elementwise; reducing
+    # along the other axis, over many short rows, is about 4x slower at n = 9.
+    return complex(np.dot((a @ coeffs).prod(axis=0), weights))
 
 
-def _occupation_vector(occ, modes: int, role: str) -> tuple[int, ...]:
-    occ = tuple(occ)
-    if not all(type(n) is int for n in occ):
-        if not all(type(n) is int or isinstance(n, np.integer) for n in occ):
-            raise ShapeError(f"{role} occupations must be integers: {occ}")
-        occ = tuple(int(n) for n in occ)
-    if len(occ) != modes:
-        raise ShapeError(f"{role} state lists {len(occ)} modes, matrix has {modes}")
-    if min(occ, default=0) < 0:
-        raise ShapeError(f"{role} occupations must be non-negative: {occ}")
-    return occ
+class _Ports(NamedTuple):
+    """The ports of one occupation tuple, as `transition_amplitude` indexes them."""
+
+    photons: int
+    repeated: np.ndarray  # port i repeated occ[i] times
+    occupied: np.ndarray  # ports with occ[i] > 0, most photons first
+    counts: tuple[int, ...]  # occ[i] of each occupied port, in that order
+    norm: int  # prod occ[i]!
 
 
 # Most occupation tuples _ports keeps; every basis of 4 modes up to
 # PERMANENT_CAP photons fits. A full cache drops its oldest entry.
 PORT_CACHE_SIZE = 4096
-_port_cache: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
+_port_cache: dict[tuple[int, ...], _Ports] = {}
 
 
-def _ports(occ: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """Port i repeated occ[i] times (read-only), and prod occ[i]!, cached per tuple."""
+def _new_ports(occ: tuple[int, ...]) -> _Ports:
+    """The _Ports of checked occupations, cached."""
+    if len(_port_cache) >= PORT_CACHE_SIZE:
+        del _port_cache[next(iter(_port_cache))]
+    occupied = np.array(sorted((i for i, k in enumerate(occ) if k), key=lambda i: -occ[i]),
+                        dtype=int)
+    repeated = np.repeat(np.arange(len(occ)), occ)
+    repeated.flags.writeable = occupied.flags.writeable = False
+    entry = _port_cache[occ] = _Ports(sum(occ), repeated, occupied,
+                                      tuple(occ[i] for i in occupied),
+                                      math.prod(math.factorial(k) for k in occ))
+    return entry
+
+
+def _ports(occ, modes: int, role: str) -> _Ports:
+    """The cached _Ports of `occ`, checked as occupations of `modes` modes.
+
+    A hit skips the checks only for a tuple of plain ints: 1.0 and True
+    equal 1 and would find its entry.
+    """
+    occ = tuple(occ)
     entry = _port_cache.get(occ)
+    if entry is None or not all(type(n) is int for n in occ):
+        occ = _occupations(occ, f"{role} occupations")
+    if len(occ) != modes:
+        raise ShapeError(f"{role} state lists {len(occ)} modes, matrix has {modes}")
     if entry is None:
-        if len(_port_cache) >= PORT_CACHE_SIZE:
-            del _port_cache[next(iter(_port_cache))]
-        index = np.repeat(np.arange(len(occ)), occ)
-        index.flags.writeable = False
-        entry = _port_cache[occ] = (index, math.prod(math.factorial(k) for k in occ))
+        require_permanent_size(sum(occ))
+        entry = _new_ports(occ)
     return entry
 
 
 def transition_amplitude(matrix, state_in: FockState, state_out: FockState) -> complex:
     """<out|S|in> for a single-photon map U: per(U[out, in]) / sqrt(prod n_i! m_j!).
 
-    U[out, in] repeats row j out_j times (outer) and column i in_i times
-    (inner). Amplitudes across photon sectors are identically zero in a
-    linear passive network, so mismatched photon numbers are rejected
-    rather than silently zeroed, and more than PERMANENT_CAP photons before
-    any index is built.
+    U[out, in] repeats row j out_j times and column i in_i times. It reaches
+    `permanent` transposed, with each occupied output port once and its
+    occupation as the column count, so a bunched output costs fewer terms.
+    Amplitudes across photon sectors are identically zero in a linear
+    passive network, so mismatched photon numbers are rejected rather than
+    silently zeroed, and more than PERMANENT_CAP photons before any index is
+    built.
     """
     u = require_square(matrix)
-    occ_in = _occupation_vector(state_in, u.shape[0], "input")
-    occ_out = _occupation_vector(state_out, u.shape[0], "output")
-    n = sum(occ_in)
-    if sum(occ_out) != n:
+    p_in = _ports(state_in, u.shape[0], "input")
+    p_out = _ports(state_out, u.shape[0], "output")
+    n = p_in.photons
+    if p_out.photons != n:
         raise ShapeError(
-            f"photon number mismatch: input has {n}, output has {sum(occ_out)}")
+            f"photon number mismatch: input has {n}, output has {p_out.photons}")
     if n == 0:
         return 1 + 0j
-    require_permanent_size(n)
-    cols, norm_in = _ports(occ_in)
-    rows, norm_out = _ports(occ_out)
-    return permanent(u.take(rows, 0).take(cols, 1)) / math.sqrt(norm_in * norm_out)
+    a = u.take(p_out.occupied, 0).take(p_in.repeated, 1).T
+    return permanent(a, p_out.counts) / math.sqrt(p_in.norm * p_out.norm)
 
 
 def evolution_operator(scattering) -> np.ndarray:

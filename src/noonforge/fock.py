@@ -164,8 +164,31 @@ class QuantumState:
         amps[basis.index_of(occupations)] = 1.0
         return cls(basis, amps)
 
+    def _scaled(self) -> tuple[np.ndarray, float, int]:
+        """The amplitudes times 2^-e, their largest real or imaginary part, and e.
+
+        e brings that part into [0.5, 1), so the norm of the scaled
+        amplitudes neither overflows nor underflows. The scaling is exact for
+        parts in the normal range.
+        """
+        parts = self.amplitudes.view(np.float64)
+        peak = float(np.max(np.abs(parts), initial=0.0))
+        exponent = math.frexp(peak)[1]
+        return np.ldexp(parts, -exponent).view(complex), peak, exponent
+
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """The 2-norm of the amplitudes, computed on their scaled copy.
+
+        A norm within the float range comes out finite and nonzero whatever
+        the amplitudes' magnitude, and one beyond it is inf without a
+        warning. In the normal range the result equals np.linalg.norm bit
+        for bit.
+        """
+        scaled, _, exponent = self._scaled()
+        try:
+            return math.ldexp(float(np.linalg.norm(scaled)), exponent)
+        except OverflowError:
+            return math.inf
 
     def is_normalized(self) -> bool:
         return abs(self.norm() - 1.0) <= 1e-9
@@ -173,17 +196,12 @@ class QuantumState:
     def normalized(self) -> "QuantumState":
         """This state over its norm, for any finite nonzero amplitudes.
 
-        The amplitudes are first scaled by the power of two that brings the
-        largest real or imaginary part into [0.5, 1), so the norm neither
-        overflows nor underflows. The scaling is exact for parts in the
-        normal range, so there the result equals the plain quotient bit for
-        bit.
+        The quotient is taken on the scaled amplitudes, so in the normal range
+        the result equals the plain quotient bit for bit.
         """
-        parts = self.amplitudes.view(np.float64)
-        peak = float(np.max(np.abs(parts), initial=0.0))
+        scaled, peak, _ = self._scaled()
         if not 0.0 < peak < math.inf:
             raise ValueError("cannot normalize a zero or non-finite state")
-        scaled = np.ldexp(parts, -math.frexp(peak)[1]).view(complex)
         return QuantumState(self.basis, scaled / np.linalg.norm(scaled))
 
     def canonical(self) -> "QuantumState":

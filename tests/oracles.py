@@ -17,16 +17,16 @@ from noonforge.unitary import require_square
 
 
 def naive_permanent(matrix) -> complex:
-    """Permanent by explicit permutation sum, O(n! n)."""
-    a = np.asarray(matrix, dtype=complex)
-    n = a.shape[0]
+    """Permanent by explicit permutation sum, O(n! n), in Python complex arithmetic."""
+    a = np.asarray(matrix, dtype=complex).tolist()
+    n = len(a)
     if n == 0:
         return 1 + 0j
     total = 0j
     for perm in itertools.permutations(range(n)):
         prod = 1 + 0j
         for i, j in enumerate(perm):
-            prod *= a[i, j]
+            prod *= a[i][j]
         total += prod
     return total
 

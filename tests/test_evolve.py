@@ -74,6 +74,49 @@ def test_permanent_matches_naive_oracle_hypothesis(m):
     assert abs(permanent(m) - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
+@st.composite
+def _repeated_columns(draw, max_photons=8):
+    """A composition of n <= max_photons as column counts, and an (n x parts) complex matrix.
+
+    Entry magnitudes stay in [1/4, 2], so the permanent of the magnitudes,
+    the scale rounding errors are measured on, is never zero.
+    """
+    n = draw(st.integers(1, max_photons))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    counts = tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+    polar = st.tuples(st.floats(0.25, 2.0), st.floats(-math.pi, math.pi))
+    entries = draw(st.lists(polar, min_size=n * len(counts), max_size=n * len(counts)))
+    b = np.array([r * np.exp(1j * phi) for r, phi in entries]).reshape(n, len(counts))
+    return b, counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_repeated_columns())
+def test_permanent_of_repeated_columns_matches_naive_oracle(case):
+    b, counts = case
+    expanded = np.repeat(b, counts, axis=1)
+    scale = naive_permanent(np.abs(expanded)).real
+    assert abs(permanent(b, counts) - naive_permanent(expanded)) <= 1e-12 * scale
+
+
+def test_permanent_with_unit_counts_equals_plain_permanent_bit_for_bit():
+    m = np.random.default_rng(RNG_SEED).standard_normal((7, 7)) * (1 + 1j)
+    assert repr(permanent(m.T.copy(), [1] * 7)) == repr(permanent(m))
+
+
+def test_permanent_counts_are_checked():
+    with pytest.raises(ShapeError, match="column counts must be integers"):
+        permanent(np.ones((2, 1)), (2.0,))
+    with pytest.raises(ShapeError, match="column counts must be non-negative"):
+        permanent(np.ones((2, 3)), (3, 0, -1))
+    with pytest.raises(ShapeError, match=r"expected a \(3, 2\) matrix"):
+        permanent(np.ones((2, 2)), (2, 1))
+    with pytest.raises(CapacityError):
+        permanent(np.ones((PERMANENT_CAP + 1, 1)), (PERMANENT_CAP + 1,))
+    assert permanent(np.ones((0, 2)), (0, 0)) == 1
+    assert permanent(np.ones((3, 2)), np.array([0, 3])) == pytest.approx(6)
+
+
 def test_permanent_cap():
     with pytest.raises(CapacityError):
         permanent(np.eye(PERMANENT_CAP + 1))
@@ -169,6 +212,20 @@ def test_pair_amplitude_oriented_matches_quoted_value(splitter_ii, operator_ii):
     assert np.angle(projected, deg=True) == pytest.approx(48.0, abs=4.0)
 
 
+def test_transition_amplitudes_match_naive_oracle_up_to_6_photons():
+    rng = np.random.default_rng(RNG_SEED)
+    u = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    ports = np.arange(4)
+    for photons in range(7):
+        states = enumerate_basis(4, photons).states
+        for occ_in in states:
+            for occ_out in states:
+                ref = naive_permanent(u[np.repeat(ports, occ_out)][:, np.repeat(ports, occ_in)])
+                ref /= math.sqrt(math.prod(map(math.factorial, occ_in + occ_out)))
+                got = transition_amplitude(u, occ_in, occ_out)
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (occ_in, occ_out)
+
+
 @pytest.mark.parametrize("role", ["input", "output"])
 @pytest.mark.parametrize("bad", [1.7, 1.0, np.float64(1.0), True, "1"],
                          ids=["1.7", "1.0", "float64", "bool", "str"])
@@ -194,28 +251,65 @@ def test_photon_mismatch_rejected(hadamard_splitter):
 def test_transition_amplitude_refuses_more_photons_than_the_cap(monkeypatch):
     def no_ports(occ):
         raise AssertionError("port indices built")
-    monkeypatch.setattr(evolve, "_ports", no_ports)
+    monkeypatch.setattr(evolve, "_new_ports", no_ports)
     big = (PERMANENT_CAP + 1, 0)
     with pytest.raises(CapacityError, match="exceeds the cap of 16"):
         transition_amplitude(np.eye(2), big, big)
 
 
-# --- cached sign tables and port indices --------------------------------------
+# --- cached Glynn tables and port indices -------------------------------------
 
 def test_cached_tables_are_read_only(hadamard_splitter):
     transition_amplitude(hadamard_splitter, (2, 1), (1, 2))
-    deltas_t, signs = evolve._glynn_signs(3)
-    index, _ = evolve._port_cache[(2, 1)]
-    for table in (deltas_t, signs, index):
+    coeffs, weights = evolve._glynn_table((2, 1))
+    ports = evolve._port_cache[(2, 1)]
+    for table in (coeffs, weights, ports.repeated, ports.occupied):
         with pytest.raises(ValueError):
             table[0] = 0
 
 
 def test_sign_tables_are_complex():
-    for n in range(1, 10):
-        deltas_t, signs = evolve._glynn_signs(n)
-        assert deltas_t.dtype == signs.dtype == complex
-        assert deltas_t.shape == (n, 2 ** (n - 1))
+    for counts in [(1,) * n for n in range(1, 10)] + [(8,), (3, 2, 2)]:
+        coeffs, weights = evolve._glynn_table(counts)
+        assert coeffs.dtype == weights.dtype == complex
+        assert coeffs.shape == (len(counts), weights.size)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_all_ones_table_is_the_plain_glynn_table(n):
+    coeffs, weights = evolve._glynn_table((1,) * n)
+    assert coeffs.shape == (n, 2 ** (n - 1))
+    flips = (np.arange(2 ** (n - 1)) >> np.arange(n - 1)[:, None]) & 1
+    deltas = np.vstack([np.ones((1, 2 ** (n - 1))), 1.0 - 2.0 * flips])
+    assert np.array_equal(coeffs, deltas)
+    assert np.array_equal(weights, deltas.prod(axis=0) / 2 ** (n - 1))
+
+
+# (m_0 // 2 + 1) prod_(r>0) (m_r + 1) terms against 2^(n-1) unbunched
+@pytest.mark.parametrize("counts, terms", [((8,), 5), ((5,), 3), ((4, 3, 1), 24),
+                                           ((2, 2, 2, 2), 54), ((6, 1, 0), 8)])
+def test_table_term_count(counts, terms):
+    coeffs, weights = evolve._glynn_table(counts)
+    assert weights.size == coeffs.shape[1] == terms
+
+
+def test_table_cache_stays_small_at_16_photons(operator_ii, monkeypatch):
+    monkeypatch.setattr(evolve, "_table_cache", {})
+    _, state = state_from_spec("4,4,4,4")
+    evolve_state(operator_ii, state)
+    # one table per partition of 16 into at most 4 parts, 0.65 MiB together
+    assert len(evolve._table_cache) == 64
+    assert evolve._table_bytes() < 2 ** 20
+
+
+def test_table_cache_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(evolve, "_table_cache", {})
+    monkeypatch.setattr(evolve, "TABLE_CACHE_BYTES", 2 ** 16)
+    for n in range(1, 12):
+        permanent(np.eye(n))
+        assert evolve._table_bytes() <= 2 ** 16 or len(evolve._table_cache) == 1
+    assert list(evolve._table_cache) == [(1,) * 11]
+    assert permanent(np.eye(3)) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -234,6 +328,7 @@ def test_numpy_int_occupations_match_plain_ints_bit_for_bit(operator_ii):
             for occ_in, occ_out in pairs]
     assert evolve._port_cache
     assert all(type(k) is int for key in evolve._port_cache for k in key)
+    assert all(type(k) is int for key in evolve._table_cache for k in key)
     for (occ_in, occ_out), amp in zip(pairs, wide):
         plain = transition_amplitude(operator_ii, occ_in, occ_out)
         assert plain == amp and repr(plain) == repr(amp)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,29 @@ def test_normalized_equals_the_plain_quotient_bit_for_bit(values):
     state = QuantumState(enumerate_basis(len(values), 1), amps).normalized()
     plain = amps / np.linalg.norm(amps)
     assert state.amplitudes.view(np.float64).tolist() == plain.view(np.float64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(complex, _PART, _PART), min_size=1, max_size=8))
+def test_norm_equals_the_plain_norm_bit_for_bit(values):
+    amps = np.array(values, dtype=complex)
+    state = QuantumState(enumerate_basis(len(values), 1), amps)
+    assert repr(state.norm()) == repr(float(np.linalg.norm(amps)))
+
+
+@pytest.mark.parametrize("amps, expected", [
+    ([1e200, 0.0], 1e200),
+    ([1e308, 1e308j], math.sqrt(2) * 1e308),
+    ([3e-200, 4e-200j], 5e-200),
+    ([5e-324j, 0.0], 5e-324),
+    ([0.0, 0.0], 0.0),
+    ([1.7e308, 1.7e308], math.inf),
+])
+def test_norm_is_scaled_before_it_is_taken(amps, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = QuantumState(enumerate_basis(2, 1), np.array(amps)).norm()
+    assert norm == pytest.approx(expected, rel=1e-15)
 
 
 def test_amplitudes_are_immutable():
