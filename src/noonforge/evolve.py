@@ -6,10 +6,9 @@ copies of each output port summed by their count: an output holding
 s_1 >= s_2 >= ... photons in its occupied ports costs
 (s_1//2 + 1) prod_(r>1) (s_r + 1) terms instead of 2^(N-1) (Glynn 2010;
 Chin & Huh 2018, Sci. Rep. 8:6101). The terms' tables are cached per sorted
-occupations and hold at most TABLE_CACHE_BYTES together. An independent
-path builds the nonzero entries of the second-quantized generator on the
-n-photon basis and propagates the state by a Chebyshev series of sparse
-mat-vecs on the generator's Gershgorin interval; it serves as a cross-check.
+occupations and hold at most TABLE_CACHE_BYTES together. The cross-check
+propagates the state by a Chebyshev series on the second-quantized
+generator's exact spectral interval [n lambda_min(A), n lambda_max(A)].
 """
 
 from __future__ import annotations
@@ -27,12 +26,11 @@ from .unitary import HERMITIAN_TOL, require_hermitian, require_square, require_u
 
 PERMANENT_CAP = 16
 # Largest basis the Hamiltonian route accepts, which covers 4 modes up to 21
-# photons. It bounds the generator entries the route builds: for m modes at
-# most m^2 per state (16 for 4 modes), about 1 MiB at the cap.
+# photons. It bounds the route's tables and products, a few arrays of m
+# entries per state: 0.8 MiB at the peak for 2,024 states of 4 modes.
 HAMILTONIAN_DIM_CAP = 2048
-# Most multiply-adds the Hamiltonian route's Chebyshev series may take,
-# estimated as (term bound) x (off-diagonal entries + dim): several seconds
-# of sparse mat-vecs.
+# Most multiply-adds the Hamiltonian route's Chebyshev series may take, estimated
+# as (term bound) x (off-diagonal entries + dim): several seconds of mat-vecs.
 HAMILTONIAN_WORK_CAP = 2 ** 30
 # The Chebyshev series ends after its last coefficient above this magnitude.
 # The coefficients come from an FFT whose rounding noise is a few 1e-16, so a
@@ -314,115 +312,117 @@ def fock_hamiltonian(coupling, basis: FockBasis) -> np.ndarray:
     return h
 
 
-class _SparseGenerator(NamedTuple):
-    """A generator as its diagonal and its off-diagonal entries in CSR form.
+class _Generator(NamedTuple):
+    """sum_mn A[m,n] adag_m a_n on n photons, applied through the basis's raise table.
 
-    The off-diagonal entries are sorted by row, then column; `nonempty` lists
-    the rows holding any, and `starts` where each of them begins.
+    adag_m a_n takes t + e_n to t + e_m, t of n-1 photons, with the factor
+    sqrt(t_n+1) sqrt(t_m+1): a mat-vec gathers x at each t + e_n, scales, mixes
+    the modes by A, scales again and sums each state's m terms back, each step
+    over m contiguous rows.
     """
 
-    diagonal: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    nonempty: np.ndarray
-    starts: np.ndarray
+    coupling: np.ndarray  # A
+    raised: np.ndarray  # [j, i]: position of t + e_j, t the i-th state of n-1 photons
+    root: np.ndarray  # [j, i]: sqrt(t_j + 1), complex so that no mat-vec casts it
+    lowered: np.ndarray  # [j, s]: position of product (j, s - e_j), else of the zero slot
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        y = self.diagonal * x
-        y[self.nonempty] += np.add.reduceat(self.vals * x[self.cols], self.starts)
-        return y
+        products = np.zeros(self.raised.size + 1, dtype=complex)  # the last is the zero slot
+        mixed = products[:-1].reshape(self.raised.shape)
+        np.matmul(self.coupling, x.take(self.raised) * self.root, out=mixed)
+        mixed *= self.root
+        return products.take(self.lowered).sum(axis=0)
 
 
-def _sparse_generator(a: np.ndarray, basis: FockBasis) -> _SparseGenerator:
-    """The generator of `a` on `basis` from its entries, checked Hermitian.
+def _sparse_generator(a: np.ndarray, basis: FockBasis) -> _Generator:
+    """The generator of `a` on `basis`; NotHermitianError if max |H - H^H| > HERMITIAN_TOL.
 
-    The diagonal is summed in pair order; each off-diagonal (r, c) occurs
-    once, so the values equal the dense generator's. ShapeError on a
-    non-finite entry; NotHermitianError unless max |H - H^H| <= HERMITIAN_TOL
-    as `require_hermitian` computes it: each block (m, n) against its mirror
-    block (n, m), 0 where A[n,m] == 0 leaves that out, and the diagonal.
+    For scale[m, n] = max_t sqrt(t_m+1) sqrt(t_n+1), |A[m,n] - conj A[n,m]|
+    scale[m,n] is the largest entry of H - H^H in block (m, n), a mirror block
+    left out where A[n,m] == 0 counting as zero; the diagonal's is 2n |Im A[m,m]|.
     """
-    dim, modes = len(basis), basis.modes
-    m_modes, n_modes = np.nonzero(a.T)[::-1]  # the block order of _generator_entries
-    shape = (len(m_modes), len(basis.raise_table))
-    rows, cols, vals = (x.reshape(shape) for x in _generator_entries(a, basis))
-    by_pair = np.zeros((modes, modes, shape[1]), dtype=complex)
-    by_pair[m_modes, n_modes] = vals
-    off = m_modes != n_modes
-    d = np.zeros(dim, dtype=complex)
-    np.add.at(d, rows[~off], vals[~off])
-    transposed = by_pair[n_modes[off], m_modes[off]].ravel()
-    rows, cols, vals = rows[off].ravel(), cols[off].ravel(), vals[off].ravel()
-    if not (np.all(np.isfinite(d.view(float))) and np.all(np.isfinite(vals.view(float)))):
-        raise ShapeError("matrix entries must be finite")
-    defect = max(np.max(np.abs(vals - transposed.conj()), initial=0.0),
-                 np.max(np.abs(d - d.conj()), initial=0.0))
-    if defect > HERMITIAN_TOL:
+    raised = np.ascontiguousarray(basis.raise_table.T)
+    modes = np.arange(basis.modes)[:, None]
+    # sqrt(t_j + 1), cast first: a narrow integer dtype would root in float16
+    root = np.sqrt(basis.occupations[raised, modes].astype(float))
+    scale = np.max(root[:, None] * root[None], axis=2, initial=0.0)
+    if np.max(np.abs(a - a.conj().T) * scale) > HERMITIAN_TOL:
         raise NotHermitianError("matrix must be Hermitian")
-    by_key = np.argsort(rows * dim + cols, kind="stable")
-    nonempty, starts = np.unique(rows[by_key], return_index=True)
-    return _SparseGenerator(d, cols[by_key], vals[by_key], nonempty, starts)
+    lowered = np.full((basis.modes, len(basis)), raised.size)
+    lowered[modes, raised] = np.arange(raised.size).reshape(raised.shape)
+    return _Generator(a, raised, root.astype(complex), lowered)
 
 
-def _propagate(h: _SparseGenerator, vector: np.ndarray) -> np.ndarray:
-    """exp(-ih) @ vector for a Hermitian sparse generator h.
+def _spectral_interval(a: np.ndarray, photons: int) -> tuple[float, float]:
+    """Ends of an interval holding the spectrum of the generator of `a` on n photons.
 
-    The spectrum of h lies in its Gershgorin interval [lo, hi]. With
-    mid = (hi+lo)/2 and half = (hi-lo)/2, exp(-ih) = exp(-i mid) f(x) for
-    x = (h - mid)/half, whose spectrum lies in [-1, 1], and
-    f(x) = exp(-i half x) = c_0 + 2 sum_k c_k T_k(x) with c_k = (-i)^k J_k(half)
-    (Jacobi-Anger). One FFT of f(cos phi) at 2K equispaced angles yields
+    That generator is dGamma(A), whose spectrum for Hermitian A is exactly
+    [n lambda_min(A), n lambda_max(A)]. eigvalsh reads a Hermitian L with
+    |A - L| <= |A - A^H| (A's lower triangle), so by Bauer-Fike the ends move
+    by at most n ||A - A^H||_F; they are widened by that and by rounding.
+    """
+    lam = np.linalg.eigvalsh(a)
+    rounding = 16 * len(a) * np.finfo(float).eps * np.max(np.abs(lam))
+    pad = photons * (np.linalg.norm(a - a.conj().T) + rounding)
+    return float(photons * lam[0] - pad), float(photons * lam[-1] + pad)
+
+
+def _propagate(a: np.ndarray, basis: FockBasis, vector: np.ndarray) -> np.ndarray:
+    """exp(-ih) @ vector for the generator h of `a` on `basis`, of n photons.
+
+    With [lo, hi] = _spectral_interval, half = (hi-lo)/2 and mid = lo + half,
+    exp(-ih) = exp(-i mid) f(x) for x = (h - mid)/half, the generator of
+    (A - (mid/n) I)/half, of norm at most 2/n, with spectrum in [-1, 1].
+    f(x) = exp(-i half x) = c_0 + 2 sum_k c_k T_k(x), c_k = (-i)^k J_k(half)
+    (Jacobi-Anger); one FFT of f(cos phi) at 2K equispaced angles yields
     c_0 .. c_(K-1). Past the order half, J_k(half) decays on a scale of
     (half/2)^(1/3); for K = half + 12 half^(1/3) + 32 every J_k with k >= K is
     below 1e-20 (checked against scipy.special.jv for half up to 1e5), so
-    neither truncation nor aliasing shows. K bounds the number of mat-vecs,
-    each about (off-diagonal entries + dim) multiply-adds, so a series whose
-    estimate exceeds HAMILTONIAN_WORK_CAP is refused before the FFT. The
-    series runs the three-term Chebyshev recurrence in sparse mat-vecs and
-    ends after the last coefficient above CHEBYSHEV_CUTOFF (Tal-Ezer &
-    Kosloff, J. Chem. Phys. 81, 3967, 1984).
+    neither truncation nor aliasing shows. ShapeError if the interval
+    overflows; a K whose estimated work exceeds HAMILTONIAN_WORK_CAP is refused
+    before the FFT. The Chebyshev recurrence ends after the last coefficient
+    above CHEBYSHEV_CUTOFF (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).
     """
-    dim = len(vector)
-    centre = h.diagonal.real
-    radius = np.zeros(dim)
-    radius[h.nonempty] = np.add.reduceat(np.abs(h.vals), h.starts)
-    lo, hi = float(np.min(centre - radius)), float(np.max(centre + radius))
-    mid, half = (hi + lo) / 2, (hi - lo) / 2
-    phase = np.exp(-1j * mid)
-    if half == 0:
-        return phase * vector
+    n, dim = basis.photons, len(basis)
+    lo, hi = _spectral_interval(a, n)
+    half = (hi - lo) / 2
+    mid = lo + half  # finite wherever half is
+    if not np.isfinite(half):
+        raise ShapeError("matrix entries must be finite")
+    h = _sparse_generator(a, basis)
+    if half < np.finfo(float).tiny:  # h is mid to within 1e-307, as for n = 0, where h = 0
+        return np.exp(-1j * mid) * vector
+    x = (a - mid / n * np.eye(len(a))) / half
     reach = half + 12 * np.cbrt(half)
-    work = (reach + 32) * (len(h.vals) + dim)
+    entries = (np.count_nonzero(a) - np.count_nonzero(np.diag(a))) * h.raised.shape[1]
+    work = (reach + 32) * (entries + dim)
     if not work <= HAMILTONIAN_WORK_CAP:
         raise CapacityError(
             f"Hamiltonian route needs up to {reach + 32:.4g} Chebyshev terms on "
-            f"{len(h.vals)} off-diagonal entries and {dim} states, about "
+            f"{entries} off-diagonal entries and {dim} states, about "
             f"{work:.3g} multiply-adds; the cap is {HAMILTONIAN_WORK_CAP:.3g}")
     size = int(reach) + 32
     angles = np.pi * np.arange(2 * size) / size
     coeffs = np.fft.fft(np.exp(-1j * half * np.cos(angles)))[:size] / (2 * size)
     terms = int(np.flatnonzero(np.abs(coeffs) > CHEBYSHEV_CUTOFF)[-1]) + 1
-    h = h._replace(diagonal=(h.diagonal - mid) / half, vals=h.vals / half)
+    h, double = h._replace(coupling=x), h._replace(coupling=2 * x)
     previous, current = vector, h @ vector
     total = coeffs[0] * previous + 2 * coeffs[1] * current
-    for c in coeffs[2:terms]:
-        previous, current = current, 2 * (h @ current) - previous
-        total += 2 * c * current
-    return phase * total
+    for c in 2 * coeffs[2:terms]:
+        previous, current = current, double @ current - previous
+        total += c * current
+    return np.exp(-1j * mid) * total
 
 
 def evolve_state_hamiltonian(coupling, state: QuantumState) -> TransitionTable:
     """Evolve a normalized state under the second-quantized generator (t=1).
 
-    Builds the nonzero entries of the generator of `coupling` on the state's
-    basis, checks them Hermitian, and propagates the amplitudes by a
-    Chebyshev series of sparse mat-vecs on the generator's Gershgorin
-    interval, without forming exp(-iH) or any dim x dim array; the cost grows
-    with entries x terms. Independent of the permanent path; the two must
-    agree to 1e-8 per amplitude for any Hermitian coupling matrix. A basis
-    above HAMILTONIAN_DIM_CAP states is refused with CapacityError before
-    the entries are built, and a series above HAMILTONIAN_WORK_CAP before it
-    is summed.
+    A Chebyshev series on the generator's exact spectral interval, storing no
+    generator entry and no dim x dim array; the cost grows with
+    m^2 x dim x terms. Independent of the permanent path; the two must agree
+    to 1e-8 per amplitude for any Hermitian coupling. CapacityError for a
+    basis above HAMILTONIAN_DIM_CAP states before any table is built, and
+    for a series above HAMILTONIAN_WORK_CAP before it is summed.
     """
     a = require_hermitian(coupling)
     _require_normalized_on(state, a.shape[0])
@@ -431,5 +431,5 @@ def evolve_state_hamiltonian(coupling, state: QuantumState) -> TransitionTable:
         raise CapacityError(
             f"Hamiltonian route on {dim} basis states exceeds the cap of "
             f"{HAMILTONIAN_DIM_CAP} states")
-    amplitudes = _propagate(_sparse_generator(a, state.basis), state.amplitudes)
+    amplitudes = _propagate(a, state.basis, state.amplitudes)
     return TransitionTable(state.basis, amplitudes, input=state)

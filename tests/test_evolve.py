@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.sparse.linalg import expm_multiply
 
 from noonforge import (
     CapacityError,
@@ -31,7 +33,7 @@ from noonforge import (
 )
 from noonforge import evolve
 from noonforge.evolve import HAMILTONIAN_DIM_CAP, PERMANENT_CAP
-from noonforge.unitary import max_unitarity_defect
+from noonforge.unitary import HERMITIAN_TOL, max_unitarity_defect
 
 from oracles import (haar_unitary, loop_fock_hamiltonian, naive_permanent, random_fock_input,
                      random_hermitian)
@@ -646,6 +648,109 @@ def test_hamiltonian_route_peak_memory_at_dim_2024(operator_ii):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def _sparse_reference(a, basis):
+    rows, cols, vals = evolve._generator_entries(a, basis)
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(len(basis),) * 2).tocsr()
+
+
+@pytest.mark.parametrize("spec", ["5,3,3,3", "6,5,5,5"])
+def test_propagation_matches_sparse_expm_multiply_on_the_splitter(operator_ii, spec):
+    a = effective_hamiltonian(operator_ii)
+    _, state = state_from_spec(spec)
+    out = evolve_state_hamiltonian(a, state).amplitudes
+    expected = expm_multiply(-1j * _sparse_reference(a, state.basis), state.amplitudes)
+    assert np.max(np.abs(out - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("modes,photons", [(3, 12), (4, 8), (5, 6)])
+def test_propagation_matches_sparse_expm_multiply_with_zero_couplings(modes, photons):
+    rng = np.random.default_rng(RNG_SEED + 10 * modes + photons)
+    a = _coupling_with_zeros(modes, rng)
+    state = _random_state(enumerate_basis(modes, photons), rng)
+    out = evolve_state_hamiltonian(a, state).amplitudes
+    expected = expm_multiply(-1j * _sparse_reference(a, state.basis), state.amplitudes)
+    assert np.max(np.abs(out - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("modes,photons", [(m, n) for m in range(1, 6) for n in range(9)])
+def test_spectral_interval_is_exact_and_inside_the_gershgorin_interval(modes, photons):
+    rng = np.random.default_rng(RNG_SEED + 10 * modes + photons)
+    a = random_hermitian(modes, rng)
+    h = fock_hamiltonian(a, enumerate_basis(modes, photons))
+    lo, hi = evolve._spectral_interval(a, photons)
+    tol = 1e-12 * (1 + photons * np.linalg.norm(a, 2))
+    assert np.allclose((lo, hi), np.linalg.eigvalsh(h)[[0, -1]], rtol=0, atol=tol)
+    centre, radius = h.diagonal().real, np.sum(np.abs(h), axis=1) - np.abs(np.diag(h))
+    assert np.min(centre - radius) - tol <= lo <= hi <= np.max(centre + radius) + tol
+
+
+@pytest.mark.parametrize("modes,photons", [(m, n) for m in range(2, 5) for n in range(1, 6)])
+def test_spectral_interval_holds_the_eigenvalues_of_a_non_hermitian_generator(modes, photons):
+    # eigvalsh reads the lower triangle alone; Bauer-Fike's margin must cover
+    # the eigenvalues that the rest of A moves.
+    rng = np.random.default_rng(RNG_SEED + 10 * modes + photons)
+    e = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
+    a = random_hermitian(modes, rng) + 1e-3 * e
+    lo, hi = evolve._spectral_interval(a, photons)
+    z = np.linalg.eigvals(fock_hamiltonian(a, enumerate_basis(modes, photons)))
+    assert lo <= np.min(z.real) and np.max(z.real) <= hi
+
+
+@pytest.mark.parametrize("modes,photons", [(m, n) for m in range(1, 5) for n in range(1, 7)])
+def test_generator_check_refuses_exactly_the_dense_generator_defect(modes, photons):
+    # H - H^H is the generator of E - E^H for the non-Hermitian part E, so the
+    # dense defect scales with E; the check must pass half the tolerance and
+    # refuse twice it. E has zeros off its diagonal where the Hermitian part
+    # has, so some of its blocks have no mirror.
+    rng = np.random.default_rng(RNG_SEED + 10 * modes + photons)
+    basis = enumerate_basis(modes, photons)
+    hermitian = _coupling_with_zeros(modes, rng)
+    e = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
+    e[(rng.random((modes, modes)) < 0.3) & ~np.eye(modes, dtype=bool)] = 0
+    h = fock_hamiltonian(e, basis)
+    defect = np.max(np.abs(h - h.conj().T))
+    evolve._sparse_generator(hermitian + e * (0.5 * HERMITIAN_TOL / defect), basis)
+    with pytest.raises(NotHermitianError):
+        evolve._sparse_generator(hermitian + e * (2 * HERMITIAN_TOL / defect), basis)
+
+
+def test_splitter_series_runs_56_mat_vecs_at_dim_680(monkeypatch, operator_ii):
+    # A deterministic work counter: the series length on the exact interval
+    # [14 lambda_min, 14 lambda_max]; any wider interval takes more terms.
+    calls = []
+    mat_vec = evolve._Generator.__matmul__
+    monkeypatch.setattr(evolve._Generator, "__matmul__",
+                        lambda h, x: calls.append(1) or mat_vec(h, x))
+    _, state = state_from_spec("5,3,3,3")
+    evolve_state_hamiltonian(effective_hamiltonian(operator_ii), state)
+    assert len(calls) == 56
+
+
+def test_hamiltonian_route_refuses_a_basis_above_the_cap_before_any_table():
+    basis = enumerate_basis(4, 22)
+    state = QuantumState.from_occupations(basis, (22, 0, 0, 0))
+    with pytest.raises(CapacityError, match=r"2300 basis states exceeds the cap of 2048"):
+        evolve_state_hamiltonian(np.eye(4), state)
+    assert "raise_table" not in basis.__dict__
+
+
+@pytest.mark.parametrize("modes", range(1, 6))
+def test_vacuum_comes_back_bit_for_bit(modes):
+    rng = np.random.default_rng(RNG_SEED + modes)
+    state = QuantumState(enumerate_basis(modes, 0), np.array([0.6 - 0.8j]))
+    out = evolve_state_hamiltonian(random_hermitian(modes, rng, 100.0), state)
+    assert np.array_equal(out.amplitudes, state.amplitudes)
+
+
+@pytest.mark.parametrize("photons", [1, 2, 7, 30])
+@pytest.mark.parametrize("a00", [-3.7, 0.0, 1e-9, 0.62, 25.0])
+def test_one_mode_state_takes_the_phase_of_its_photons(photons, a00):
+    state = QuantumState(enumerate_basis(1, photons), np.array([0.6 - 0.8j]))
+    out = evolve_state_hamiltonian(np.array([[a00]]), state).amplitudes
+    expected = np.exp(-1j * photons * a00) * state.amplitudes
+    assert np.max(np.abs(out - expected)) <= 1e-13 * (1 + photons * abs(a00))
 
 
 def test_table_payload_formatting(operator_ii):
