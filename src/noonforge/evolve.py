@@ -25,12 +25,11 @@ from .fock import (FockBasis, FockState, QuantumState, amplitude_rows, rank_desc
 from .unitary import HERMITIAN_TOL, require_hermitian, require_square, require_unitary
 
 PERMANENT_CAP = 16
-# Largest basis the Hamiltonian route accepts, which covers 4 modes up to 21
-# photons. It bounds the route's tables and products, a few arrays of m
-# entries per state: 0.8 MiB at the peak for 2,024 states of 4 modes.
-HAMILTONIAN_DIM_CAP = 2048
-# Most multiply-adds the Hamiltonian route's Chebyshev series may take, estimated
-# as (term bound) x (off-diagonal entries + dim): several seconds of mat-vecs.
+# Most operations the Hamiltonian route's Chebyshev series may take, estimated
+# as (term bound) x ((m^2 + 2m) |T| + m dim) for the |T| states of one photon
+# fewer: a mat-vec's m x m product, its two scalings and its gathered sums.
+# Checked before any table is built; it admits about 1.2 million states of 4
+# modes under a coupling of narrow spectrum.
 HAMILTONIAN_WORK_CAP = 2 ** 30
 # The Chebyshev series ends after its last coefficient above this magnitude.
 # The coefficients come from an FFT whose rounding noise is a few 1e-16, so a
@@ -280,17 +279,15 @@ def _generator_entries(a: np.ndarray, basis: FockBasis):
     """Nonzero entries (rows, cols, vals) of sum_mn A[m,n] adag_m a_n on `basis`.
 
     adag_m a_n takes t + e_n to t + e_m, for t of one photon fewer, with the
-    factor sqrt(t_n+1) sqrt(t_m+1); the raise table gives rows and columns.
+    factor sqrt(t_n+1) sqrt(t_m+1); the basis's ladder gives rows and columns.
     Each pair with A[m,n] != 0, n-major, gives one block, one entry per t in
     basis order. t + e_m != t + e_n fixes m, n and t, so only the diagonal
     repeats across blocks, and block (n, m) mirrors block (m, n) row for row.
     """
     m_modes, n_modes = np.nonzero(a.T)[::-1]
-    raised = basis.raise_table
-    # sqrt(t_j + 1), cast first: a narrow integer dtype would root in float16
-    root = np.sqrt(basis.occupations[raised, np.arange(basis.modes)].astype(float))
-    vals = a[m_modes, n_modes] * (root[:, n_modes] * root[:, m_modes])
-    return raised[:, m_modes].T.ravel(), raised[:, n_modes].T.ravel(), vals.T.ravel()
+    raised, root, _ = basis.ladder
+    vals = a[m_modes, n_modes, None] * (root[n_modes] * root[m_modes])
+    return raised[m_modes].ravel(), raised[n_modes].ravel(), vals.ravel()
 
 
 def fock_hamiltonian(coupling, basis: FockBasis) -> np.ndarray:
@@ -313,18 +310,19 @@ def fock_hamiltonian(coupling, basis: FockBasis) -> np.ndarray:
 
 
 class _Generator(NamedTuple):
-    """sum_mn A[m,n] adag_m a_n on n photons, applied through the basis's raise table.
+    """sum_mn A[m,n] adag_m a_n on n photons, applied through the basis's ladder.
 
     adag_m a_n takes t + e_n to t + e_m, t of n-1 photons, with the factor
     sqrt(t_n+1) sqrt(t_m+1): a mat-vec gathers x at each t + e_n, scales, mixes
     the modes by A, scales again and sums each state's m terms back, each step
-    over m contiguous rows.
+    over m contiguous rows. The tables are FockBasis.ladder's, with root made
+    complex so that no mat-vec casts it.
     """
 
     coupling: np.ndarray  # A
-    raised: np.ndarray  # [j, i]: position of t + e_j, t the i-th state of n-1 photons
-    root: np.ndarray  # [j, i]: sqrt(t_j + 1), complex so that no mat-vec casts it
-    lowered: np.ndarray  # [j, s]: position of product (j, s - e_j), else of the zero slot
+    raised: np.ndarray
+    root: np.ndarray
+    lowered: np.ndarray
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         products = np.zeros(self.raised.size + 1, dtype=complex)  # the last is the zero slot
@@ -341,15 +339,10 @@ def _sparse_generator(a: np.ndarray, basis: FockBasis) -> _Generator:
     scale[m,n] is the largest entry of H - H^H in block (m, n), a mirror block
     left out where A[n,m] == 0 counting as zero; the diagonal's is 2n |Im A[m,m]|.
     """
-    raised = np.ascontiguousarray(basis.raise_table.T)
-    modes = np.arange(basis.modes)[:, None]
-    # sqrt(t_j + 1), cast first: a narrow integer dtype would root in float16
-    root = np.sqrt(basis.occupations[raised, modes].astype(float))
+    raised, root, lowered = basis.ladder
     scale = np.max(root[:, None] * root[None], axis=2, initial=0.0)
     if np.max(np.abs(a - a.conj().T) * scale) > HERMITIAN_TOL:
         raise NotHermitianError("matrix must be Hermitian")
-    lowered = np.full((basis.modes, len(basis)), raised.size)
-    lowered[modes, raised] = np.arange(raised.size).reshape(raised.shape)
     return _Generator(a, raised, root.astype(complex), lowered)
 
 
@@ -380,27 +373,28 @@ def _propagate(a: np.ndarray, basis: FockBasis, vector: np.ndarray) -> np.ndarra
     below 1e-20 (checked against scipy.special.jv for half up to 1e5), so
     neither truncation nor aliasing shows. ShapeError if the interval
     overflows; a K whose estimated work exceeds HAMILTONIAN_WORK_CAP is refused
-    before the FFT. The Chebyshev recurrence ends after the last coefficient
-    above CHEBYSHEV_CUTOFF (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).
+    before any table is built. The Chebyshev recurrence ends after the last
+    coefficient above CHEBYSHEV_CUTOFF (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+    3967, 1984).
     """
-    n, dim = basis.photons, len(basis)
+    m, n, dim = basis.modes, basis.photons, len(basis)
     lo, hi = _spectral_interval(a, n)
     half = (hi - lo) / 2
     mid = lo + half  # finite wherever half is
     if not np.isfinite(half):
         raise ShapeError("matrix entries must be finite")
-    h = _sparse_generator(a, basis)
     if half < np.finfo(float).tiny:  # h is mid to within 1e-307, as for n = 0, where h = 0
         return np.exp(-1j * mid) * vector
-    x = (a - mid / n * np.eye(len(a))) / half
     reach = half + 12 * np.cbrt(half)
-    entries = (np.count_nonzero(a) - np.count_nonzero(np.diag(a))) * h.raised.shape[1]
-    work = (reach + 32) * (entries + dim)
+    per_term = (m * m + 2 * m) * math.comb(n + m - 2, m - 1) + m * dim
+    work = (reach + 32) * per_term
     if not work <= HAMILTONIAN_WORK_CAP:
         raise CapacityError(
-            f"Hamiltonian route needs up to {reach + 32:.4g} Chebyshev terms on "
-            f"{entries} off-diagonal entries and {dim} states, about "
-            f"{work:.3g} multiply-adds; the cap is {HAMILTONIAN_WORK_CAP:.3g}")
+            f"Hamiltonian route needs up to {reach + 32:.4g} Chebyshev terms of "
+            f"{per_term} operations each on {dim} states, about {work:.3g} "
+            f"operations; the cap is {HAMILTONIAN_WORK_CAP:.3g}")
+    h = _sparse_generator(a, basis)
+    x = (a - mid / n * np.eye(len(a))) / half
     size = int(reach) + 32
     angles = np.pi * np.arange(2 * size) / size
     coeffs = np.fft.fft(np.exp(-1j * half * np.cos(angles)))[:size] / (2 * size)
@@ -420,16 +414,11 @@ def evolve_state_hamiltonian(coupling, state: QuantumState) -> TransitionTable:
     A Chebyshev series on the generator's exact spectral interval, storing no
     generator entry and no dim x dim array; the cost grows with
     m^2 x dim x terms. Independent of the permanent path; the two must agree
-    to 1e-8 per amplitude for any Hermitian coupling. CapacityError for a
-    basis above HAMILTONIAN_DIM_CAP states before any table is built, and
-    for a series above HAMILTONIAN_WORK_CAP before it is summed.
+    to 1e-8 per amplitude for any Hermitian coupling. CapacityError, before
+    any table is built, for a series whose estimated work exceeds
+    HAMILTONIAN_WORK_CAP.
     """
     a = require_hermitian(coupling)
     _require_normalized_on(state, a.shape[0])
-    dim = len(state.basis)
-    if dim > HAMILTONIAN_DIM_CAP:
-        raise CapacityError(
-            f"Hamiltonian route on {dim} basis states exceeds the cap of "
-            f"{HAMILTONIAN_DIM_CAP} states")
     amplitudes = _propagate(a, state.basis, state.amplitudes)
     return TransitionTable(state.basis, amplitudes, input=state)

@@ -82,18 +82,27 @@ class FockBasis:
         return tuple(map(tuple, self.occupations.tolist()))
 
     @functools.cached_property
-    def raise_table(self) -> np.ndarray:
-        """[i, j]: position of t + e_j, t the i-th state of one photon fewer (read-only)."""
+    def ladder(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """adag_j on each state t of one photon fewer, as read-only tables.
+
+        raised[j, i] is the position of t + e_j, t the i-th state, and root[j, i]
+        sqrt(t_j + 1); lowered[j, s] is the flat position in `raised` of s - e_j,
+        or raised.size where s holds no photon in mode j.
+        """
         # The states t + e_0 come first, in t's order. t + e_j has the photons of
         # t + e_0 after mode i, and one more where i < j.
         ahead = self.occupations[self.occupations[:, 0] > 0]
         rest = self.photons - np.cumsum(ahead[:, :-1], axis=1, dtype=np.intp)
         i = np.arange(self.modes - 1)
         fewer = np.array(self._fewer, np.intp).reshape(self.modes - 1, self.photons + 1)
-        raised = np.stack([fewer[i, rest + (i < j)].sum(axis=1) for j in range(self.modes)],
-                          axis=1)
-        raised.flags.writeable = False
-        return raised
+        raised = np.stack([fewer[i, rest + (i < j)].sum(axis=1) for j in range(self.modes)])
+        modes = np.arange(self.modes)[:, None]
+        # cast first: a narrow integer dtype would root in float16
+        root = np.sqrt(self.occupations[raised, modes].astype(float))
+        lowered = np.full((self.modes, len(self)), raised.size)
+        lowered[modes, raised] = np.arange(raised.size).reshape(raised.shape)
+        raised.flags.writeable = root.flags.writeable = lowered.flags.writeable = False
+        return raised, root, lowered
 
     def _position(self, occ: tuple) -> int | None:
         """Position of `occ`, or None unless its entries are whole and equal a state's."""

@@ -382,6 +382,16 @@ def test_undecodable_matrix_file_is_input_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("noonforge: input error:")
 
 
+def test_matrix_file_nested_past_the_recursion_limit_is_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"dim": 2, "label": "deep", "entries": ' + "[" * 3000 + "]" * 3000 + "}")
+    assert main(["evolve", "--matrix", str(path), "--input", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("noonforge: input error:")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "abc"])
 def test_reproduce_rejects_bad_tolerance(run, tol):
     with pytest.raises(SystemExit) as exc:

@@ -32,7 +32,7 @@ from noonforge import (
     unitarize,
 )
 from noonforge import evolve
-from noonforge.evolve import HAMILTONIAN_DIM_CAP, PERMANENT_CAP
+from noonforge.evolve import PERMANENT_CAP
 from noonforge.unitary import HERMITIAN_TOL, max_unitarity_defect
 
 from oracles import (haar_unitary, loop_fock_hamiltonian, naive_permanent, random_fock_input,
@@ -425,6 +425,22 @@ def test_hom_output_state(symmetric_splitter):
     assert np.allclose(out.amplitudes, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("modes,k", [(4, 1), (4, 2), (4, 3), (4, 4), (6, 1), (6, 2), (8, 1)])
+def test_fourier_multiport_suppression_law(modes, k):
+    # A cyclic shift of the input ports leaves (k, ..., k) unchanged and, through
+    # the Fourier matrix, multiplies the output s by w^(sum_j j s_j): every
+    # output with sum_j j s_j != 0 mod m is suppressed (Tichy et al., PRL 104,
+    # 220405, 2010).
+    ports = np.arange(modes)
+    fourier = np.exp(2j * np.pi * np.outer(ports, ports) / modes) / math.sqrt(modes)
+    basis = enumerate_basis(modes, modes * k)
+    table = evolve_state(fourier, QuantumState.from_occupations(basis, (k,) * modes))
+    suppressed = basis.occupations @ ports % modes != 0
+    assert suppressed.any()
+    assert np.max(np.abs(table.amplitudes[suppressed])) <= 1e-12
+    assert abs(np.linalg.norm(table.amplitudes[~suppressed]) - 1.0) <= 1e-12
+
+
 def test_norm_conservation_on_random_unitaries():
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(25):
@@ -567,16 +583,27 @@ def test_zero_coupling_returns_input_bit_for_bit():
     assert np.array_equal(table.amplitudes, state.amplitudes)
 
 
-def test_hamiltonian_route_refuses_a_basis_above_the_cap(monkeypatch):
-    def never(*args):
-        raise AssertionError("generator built for a refused basis")
+def test_identity_coupling_takes_one_phase_on_2300_states():
+    state = _random_state(enumerate_basis(4, 22), np.random.default_rng(RNG_SEED))
+    assert len(state.basis) == 2300
+    out = evolve_state_hamiltonian(np.eye(4), state).amplitudes
+    assert np.max(np.abs(out - np.exp(-22j) * state.amplitudes)) <= 1e-12
 
-    monkeypatch.setattr(evolve, "_generator_entries", never)
-    basis = enumerate_basis(4, 22)
-    assert len(basis) == 2300 > HAMILTONIAN_DIM_CAP
-    state = QuantumState.from_occupations(basis, (22, 0, 0, 0))
-    with pytest.raises(CapacityError, match=r"2300 basis states exceeds the cap of 2048"):
-        evolve_state_hamiltonian(np.eye(4), state)
+
+@pytest.mark.parametrize("spec,dim", [("8,8,8,8", 6545), ("10,10,10,10", 12341)])
+def test_route_above_2048_states_meets_the_bunched_closed_form(operator_ii, spec, dim):
+    # <N e_j|S|n> = sqrt(N! / prod n_i!) prod_i U[j,i]^n_i
+    _, state = state_from_spec(spec)
+    n = np.array(spec.split(","), dtype=int)
+    total = int(n.sum())
+    assert len(state.basis) == dim
+    out = evolve_state_hamiltonian(effective_hamiltonian(operator_ii), state)
+    assert abs(out.norm() - 1.0) <= 1e-12
+    scale = math.sqrt(math.factorial(total) / math.prod(map(math.factorial, n)))
+    for j in range(4):
+        closed = scale * np.prod(operator_ii[j] ** n)
+        bunched = out.amplitude(tuple(total if i == j else 0 for i in range(4)))
+        assert abs(bunched - closed) <= 1e-12
 
 
 def test_hamiltonian_route_refuses_a_long_series_before_the_fft(monkeypatch):
@@ -586,7 +613,7 @@ def test_hamiltonian_route_refuses_a_long_series_before_the_fft(monkeypatch):
 
     monkeypatch.setattr(np.fft, "fft", never)
     state = QuantumState.from_occupations(enumerate_basis(2, 20), (10, 10))
-    with pytest.raises(CapacityError, match=r"Chebyshev terms on 0 off-diagonal entries"):
+    with pytest.raises(CapacityError, match=r"Chebyshev terms of 202 operations each"):
         evolve_state_hamiltonian(np.diag([1e8, 0.0]), state)
 
 
@@ -728,12 +755,14 @@ def test_splitter_series_runs_56_mat_vecs_at_dim_680(monkeypatch, operator_ii):
     assert len(calls) == 56
 
 
-def test_hamiltonian_route_refuses_a_basis_above_the_cap_before_any_table():
-    basis = enumerate_basis(4, 22)
-    state = QuantumState.from_occupations(basis, (22, 0, 0, 0))
-    with pytest.raises(CapacityError, match=r"2300 basis states exceeds the cap of 2048"):
-        evolve_state_hamiltonian(np.eye(4), state)
-    assert "raise_table" not in basis.__dict__
+def test_hamiltonian_route_refuses_excess_work_before_any_table():
+    # 32 terms at least, of (12^2 + 24) C(21, 11) + 12 C(22, 11) operations each
+    basis = enumerate_basis(12, 11)
+    state = QuantumState.from_occupations(basis, (11,) + (0,) * 11)
+    assert len(basis) == 705432
+    with pytest.raises(CapacityError, match=r"of 67721472 operations each on 705432 states"):
+        evolve_state_hamiltonian(np.eye(12), state)
+    assert "ladder" not in basis.__dict__
 
 
 @pytest.mark.parametrize("modes", range(1, 6))

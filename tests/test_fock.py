@@ -71,8 +71,9 @@ def test_raise_table_positions_t_plus_e_j(modes, photons):
     index = {state: i for i, state in enumerate(basis.states)}
     lower = FockBasis(modes, photons - 1).states if photons else ()
     expected = [[index[t[:j] + (t[j] + 1,) + t[j + 1:]] for j in range(modes)] for t in lower]
-    assert basis.raise_table.shape == (len(lower), modes)
-    assert basis.raise_table.tolist() == expected
+    raised = basis.ladder[0]
+    assert raised.shape == (modes, len(lower))
+    assert raised.T.tolist() == expected
 
 
 def test_occupations_and_raise_table_are_read_only():
@@ -80,8 +81,9 @@ def test_occupations_and_raise_table_are_read_only():
     assert basis.occupations.tolist() == [list(s) for s in basis.states]
     with pytest.raises(ValueError):
         basis.occupations[0, 0] = 1
-    with pytest.raises(ValueError):
-        basis.raise_table[0, 0] = 1
+    for table in basis.ladder:
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
 
 @pytest.mark.parametrize("modes,photons", [(1, 0), (1, 3), (2, 0), (4, 0), (4, 3), (2, 300)])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noonforge import serialize
+from noonforge import MatrixFileError, serialize
 from noonforge.serialize import RawNumber
 
 from oracles import reference_dumps
@@ -68,3 +68,8 @@ def test_unsupported_leaf_raises_type_error_in_both(payload):
         serialize.dumps(payload)
     with pytest.raises(TypeError, match="cannot serialize"):
         reference_dumps(payload)
+
+
+def test_nesting_past_the_recursion_limit_is_a_matrix_file_error():
+    with pytest.raises(MatrixFileError, match="invalid JSON"):
+        serialize.loads("[" * 3000 + "]" * 3000)
