@@ -110,7 +110,8 @@ def cmd_noon(matrix_path: str, input_spec: str, select: str | None = None,
                 "input": input_spec.strip(),
                 "selection": [format_occupations(occ) for occ in kept],
                 "probability": serialize.fixed(probability, 4),
-                "components": amplitude_rows(*zip(*components)),
+                "components": amplitude_rows([format_occupations(occ) for occ, _ in components],
+                                             [a for _, a in components]),
             }
             print(serialize.dumps(payload), end="")
         else:

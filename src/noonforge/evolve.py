@@ -239,7 +239,7 @@ class TransitionTable(QuantumState):
             "modes": self.basis.modes,
             "photons": self.basis.photons,
             "input": state_to_spec(self.input),
-            "amplitudes": amplitude_rows(self.basis.states, self.amplitudes),
+            "amplitudes": amplitude_rows(self.basis.labels, self.amplitudes),
         }
 
 

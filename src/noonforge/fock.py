@@ -6,8 +6,10 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 import os
 import re
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,10 @@ DEFAULT_STATE_CAP = 10_000_000
 CAP_ENV_VAR = "NOONFORGE_CAP"
 NEGLIGIBLE_AMPLITUDE = 1e-12
 TIE_TOLERANCE = 1e-12
+# Most bytes the shared bases may hold together, each counted with every table
+# built from it (see _footprint): about 120,000 states of 4 modes. A full cache
+# drops its oldest basis; a basis larger than the bound is built and not kept.
+BASIS_CACHE_BYTES = 2 ** 25
 
 _TERM_RE = re.compile(
     r"^\s*(?:(?P<amp>[+-]?\d+(?:\.\d+)?)(?:@(?P<phase>[+-]?\d+(?:\.\d+)?))?\s*\*\s*)?"
@@ -43,13 +49,22 @@ def state_cap() -> int:
     return cap
 
 
+def _require_within_cap(modes: int, photons: int, size: int) -> None:
+    limit = state_cap()
+    if size > limit:
+        raise CapacityError(f"basis of {size} states for {photons} photons over "
+                            f"{modes} modes exceeds the cap of {limit}")
+
+
 class FockBasis:
     """Complete, deterministically ordered n-photon basis over m ports.
 
     States are ordered lexicographically descending on the occupation tuple,
     so the bunched states |n,0,...,0>, ... appear at predictable positions.
     `occupations` holds them as a read-only matrix (a byte per entry up to
-    255 photons), `states` as tuples built on first use.
+    255 photons); `states` (tuples), `labels` (ket texts) and `ladder` are
+    built on first use and kept. A basis is read-only: enumerate_basis
+    shares one instance per (modes, photons) across its callers.
     """
 
     def __init__(self, modes: int, photons: int):
@@ -58,11 +73,8 @@ class FockBasis:
         if photons < 0:
             raise InputError(f"photon number must be non-negative, got {photons}")
         slots = photons + modes - 1
-        size, limit = math.comb(slots, modes - 1), state_cap()
-        if size > limit:
-            raise CapacityError(f"basis of {size} states for {photons} photons over "
-                                f"{modes} modes exceeds the cap of {limit}")
-        self.modes, self.photons = modes, photons
+        size = math.comb(slots, modes - 1)
+        _require_within_cap(modes, photons, size)
         # Stars and bars: n_i is the gap between bars i-1 and i of modes-1 bars among
         # photons+modes-1 slots, so descending occupations are descending bars.
         ends = np.zeros((size, modes + 1), np.min_scalar_type(slots + 1))
@@ -70,16 +82,26 @@ class FockBasis:
         ends[:, 1:-1] = np.fromiter(itertools.chain.from_iterable(bars), ends.dtype,
                                     ends[:, 1:-1].size).reshape(size, -1)[::-1]
         ends[:, -1] = slots + 1
-        self.occupations = (np.diff(ends) - 1).astype(np.min_scalar_type(photons))
-        self.occupations.flags.writeable = False
+        occupations = (np.diff(ends) - 1).astype(np.min_scalar_type(photons))
+        occupations.flags.writeable = False
         # s sits at sum_i fewer[i][r_i], r_i its photons after mode i: C(r+k-1, k) states,
         # k = m-1-i, agree with s before i and put more in i (Knuth, TAOCP 4A, 7.2.1.3).
-        self._fewer = [[math.comb(r + k - 1, k) for r in range(photons + 1)]
-                       for k in range(modes - 1, 0, -1)]
+        fewer = tuple(tuple(math.comb(r + k - 1, k) for r in range(photons + 1))
+                      for k in range(modes - 1, 0, -1))
+        vars(self).update(modes=modes, photons=photons, occupations=occupations,
+                          _fewer=fewer)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a FockBasis is shared and read-only; cannot set {name!r}")
 
     @functools.cached_property
     def states(self) -> tuple[FockState, ...]:
         return tuple(map(tuple, self.occupations.tolist()))
+
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Each state as ket text, "n1,n2,...", in basis order."""
+        return tuple(map(format_occupations, self.states))
 
     @functools.cached_property
     def ladder(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,9 +166,54 @@ class FockBasis:
         return f"FockBasis(modes={self.modes}, photons={self.photons}, size={len(self)})"
 
 
+_basis_cache: dict[tuple[int, int], tuple[FockBasis, int]] = {}
+_basis_lock = threading.Lock()  # admission sums and evicts over the whole cache
+
+
+def _footprint(modes: int, photons: int, size: int) -> int:
+    """Bytes a basis holds with `states`, `labels` and `ladder` built, over-estimated.
+
+    Per state: its occupation row, its tuple (an 80-byte header, 8 bytes an
+    entry and an int object each past 256 photons), its ket text (64 bytes
+    and a number and comma per mode) and its column of `lowered`; per state
+    of one photon fewer, its columns of `raised` and `root`; 40 bytes for
+    each of the (m - 1)(n + 1) counts `_position` reads; 4 KiB of headers.
+    tracemalloc finds 240-420 B per state at 4-12 modes.
+    """
+    fewer = math.comb(photons + modes - 2, modes - 1) if photons else 0
+    entry = np.min_scalar_type(photons).itemsize + 8 + (32 if photons > 256 else 0)
+    text = 64 + modes * (len(str(photons)) + 1)
+    per_state = 80 + modes * entry + text + 8 * modes
+    return 4096 + 40 * (modes - 1) * (photons + 1) + size * per_state + 16 * modes * fewer
+
+
+def _basis_bytes() -> int:
+    return sum(footprint for _, footprint in _basis_cache.values())
+
+
 def enumerate_basis(modes: int, photons: int) -> FockBasis:
-    """Enumerate the complete n-photon, m-mode occupation basis."""
-    return FockBasis(modes, photons)
+    """The complete n-photon, m-mode occupation basis, one shared instance per process.
+
+    Bases are cached per (operator.index(modes), operator.index(photons)),
+    so a float count is a TypeError and every table built from a basis
+    (`states`, `labels`, `ladder`) is built once. A hit still checks the
+    basis against state_cap(). The cache holds at most BASIS_CACHE_BYTES
+    by each basis's footprint with every table built and drops its oldest
+    basis first; a basis over the bound is returned uncached.
+    """
+    key = operator.index(modes), operator.index(photons)
+    entry = _basis_cache.get(key)
+    if entry is not None:
+        _require_within_cap(*key, len(entry[0]))
+        return entry[0]
+    basis = FockBasis(*key)
+    footprint = _footprint(*key, len(basis))
+    if footprint <= BASIS_CACHE_BYTES:
+        with _basis_lock:
+            while _basis_cache and _basis_bytes() + footprint > BASIS_CACHE_BYTES:
+                del _basis_cache[next(iter(_basis_cache))]
+            _basis_cache[key] = basis, footprint
+    return basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,20 +295,22 @@ def format_occupations(occupations: FockState) -> str:
     return ",".join(map(str, occupations))
 
 
-def amplitude_rows(states, amplitudes) -> list[dict]:
-    """JSON rows for (state, amplitude) pairs: ket, magnitude and phase to 6 decimal places.
+def amplitude_rows(labels, amplitudes) -> list[dict]:
+    """JSON rows for (ket text, amplitude) pairs: ket, magnitude and phase to 6 decimal places.
 
-    The phases come from one np.angle call over every amplitude, which runs
-    the same arctan2 loop as one call per amplitude. Magnitudes take the
-    scalar abs (hypot), which the vectorized np.abs does not match bit for
-    bit.
+    The phase of an amplitude of magnitude at most NEGLIGIBLE_AMPLITUDE is
+    rounding noise, so it prints as 0. The phases come from one np.angle
+    call over every amplitude, which runs the same arctan2 loop as one call
+    per amplitude. Magnitudes take the scalar abs (hypot), which the
+    vectorized np.abs does not match bit for bit.
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
-    return [{"state": format_occupations(occ),
-             "mag": serialize.fixed(abs(amp), 6),
-             "phase_deg": serialize.fixed(math.degrees(phase), 6)}
-            for occ, amp, phase in zip(states, amplitudes.tolist(),
-                                       np.angle(amplitudes).tolist())]
+    return [{"state": label,
+             "mag": serialize.fixed(mag, 6),
+             "phase_deg": serialize.fixed(
+                 math.degrees(phase) if mag > NEGLIGIBLE_AMPLITUDE else 0.0, 6)}
+            for label, mag, phase in zip(labels, map(abs, amplitudes.tolist()),
+                                         np.angle(amplitudes).tolist())]
 
 
 def rank_descending(items, scores) -> list:
@@ -343,12 +412,12 @@ def state_to_spec(state: QuantumState) -> str:
     nonzero = [(i, a) for i, a in enumerate(state.amplitudes)
                if abs(a) > NEGLIGIBLE_AMPLITUDE]
     if len(nonzero) == 1 and abs(abs(nonzero[0][1]) - 1.0) <= NEGLIGIBLE_AMPLITUDE:
-        return format_occupations(state.basis.states[nonzero[0][0]])
+        return state.basis.labels[nonzero[0][0]]
     parts = []
     for i, amp in nonzero:
         mag = abs(amp)
         deg = math.degrees(math.atan2(amp.imag, amp.real))
-        ket = format_occupations(state.basis.states[i])
+        ket = state.basis.labels[i]
         if abs(deg) <= 1e-9:
             parts.append(f"{mag:.6f}*|{ket}>")
         else:

@@ -21,7 +21,7 @@ from .errors import ShapeError, SpecError, ZeroProbabilityError
 from .evolve import (TransitionTable, require_evolvable, require_permanent_size,
                      transition_amplitude)
 from .fock import (FockBasis, FockState, QuantumState, amplitude_rows, enumerate_basis,
-                   rank_descending)
+                   format_occupations, rank_descending)
 from .unitary import require_unitary
 
 ZERO_WEIGHT = 1e-24
@@ -50,7 +50,8 @@ class NoonReport:
                  "normalized_mag": serialize.fixed(m, 4),
                  "optimal_phase_deg": serialize.fixed(p, 2)}
                 for row, m, p in zip(
-                    amplitude_rows(_noon_states(self.photons, self.modes),
+                    amplitude_rows(map(format_occupations,
+                                       _noon_states(self.photons, self.modes)),
                                    self.raw_amplitudes),
                     self.normalized_amplitudes, self.optimal_phases_deg)
             ],

@@ -17,18 +17,22 @@ from noonforge.unitary import require_square
 
 
 def naive_permanent(matrix) -> complex:
-    """Permanent by explicit permutation sum, O(n! n), in Python complex arithmetic."""
+    """Permanent by explicit permutation sum, O(n! n), in Python complex arithmetic.
+
+    The products are summed by math.fsum, real and imaginary parts apart, so
+    n! equal products (a column repeated n times) sum without drift.
+    """
     a = np.asarray(matrix, dtype=complex).tolist()
     n = len(a)
     if n == 0:
         return 1 + 0j
-    total = 0j
+    products = []
     for perm in itertools.permutations(range(n)):
         prod = 1 + 0j
         for i, j in enumerate(perm):
             prod *= a[i][j]
-        total += prod
-    return total
+        products.append(prod)
+    return complex(math.fsum(p.real for p in products), math.fsum(p.imag for p in products))
 
 
 def loop_fock_hamiltonian(coupling, basis: FockBasis) -> np.ndarray:

@@ -132,6 +132,27 @@ def test_evolve_json_is_deterministic(run):
     assert first == second
 
 
+def test_negligible_amplitudes_print_phase_zero(run, tmp_path):
+    # Through the 4-port Fourier matrix, 25 of the 35 outputs of 1,1,1,1 are
+    # suppressed (Tichy et al., PRL 104, 220405, 2010); their amplitudes are
+    # rounding noise of at most 1e-16, whose phase would be arbitrary.
+    ports = np.arange(4)
+    fourier = np.exp(2j * np.pi * np.outer(ports, ports) / 4) / 2
+    path = tmp_path / "fourier4.json"
+    save_matrix(path, MatrixFile.from_array(fourier, "4-port Fourier"))
+    code, output = run("evolve", "--json", "--matrix", str(path), "--input", "1,1,1,1")
+    assert code == 0
+    rows = json.loads(output)["amplitudes"]
+    assert len(rows) == 35
+    suppressed = [row for row in rows
+                  if sum(j * int(n) for j, n in enumerate(row["state"].split(","))) % 4]
+    assert len(suppressed) == 25
+    assert all(row["mag"] == 0 and row["phase_deg"] == 0 for row in suppressed)
+    assert '"mag": 0.000000, "phase_deg": 0.000000' in output
+    # an allowed output keeps its phase
+    assert [abs(row["phase_deg"]) for row in rows if row["state"] == "2,1,0,1"] == [180]
+
+
 def test_evolve_superposition_input_round_trips(run):
     spec = "0.6*|1,1,0,0> + 0.8@30*|0,0,1,1>"
     code, output = run("evolve", "--json", "--matrix", SPLITTER_II_PATH, "--input", spec)

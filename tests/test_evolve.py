@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from noonforge import (
     transition_amplitude,
     unitarize,
 )
-from noonforge import evolve
+from noonforge import evolve, fock
 from noonforge.evolve import PERMANENT_CAP
 from noonforge.unitary import HERMITIAN_TOL, max_unitarity_defect
 
@@ -439,6 +440,56 @@ def test_fourier_multiport_suppression_law(modes, k):
     assert suppressed.any()
     assert np.max(np.abs(table.amplitudes[suppressed])) <= 1e-12
     assert abs(np.linalg.norm(table.amplitudes[~suppressed]) - 1.0) <= 1e-12
+
+
+@st.composite
+def _haar_fock_case(draw):
+    """A Haar unitary on 2-5 ports and a Fock input of 1-5 photons over them."""
+    modes = draw(st.integers(2, 5))
+    photons = draw(st.integers(1, 5))
+    ports = draw(st.lists(st.integers(0, modes - 1), min_size=photons, max_size=photons))
+    u = haar_unitary(modes, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    return u, tuple(map(ports.count, range(modes)))
+
+
+# A basis cache kept across the draws below, small enough that their bases
+# keep evicting each other.
+_SMALL_CACHE_BYTES = 64 * 1024
+_small_cache = {}
+
+
+def _on_a_small_basis_cache(occ, *routes):
+    """Each route's output amplitudes for the Fock input `occ`, bases from the small cache."""
+    with mock.patch.multiple(fock, BASIS_CACHE_BYTES=_SMALL_CACHE_BYTES,
+                             _basis_cache=_small_cache):
+        basis = enumerate_basis(len(occ), sum(occ))
+        state = QuantumState.from_occupations(basis, occ)
+        outputs = [route(state).amplitudes for route in routes]
+        assert fock._basis_bytes() <= _SMALL_CACHE_BYTES
+    return outputs
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_haar_fock_case())
+def test_haar_permanent_route_matches_the_hamiltonian_route(case):
+    u, occ = case
+    by_permanent, by_generator = _on_a_small_basis_cache(
+        occ, lambda state: evolve_state(u, state),
+        lambda state: evolve_state_hamiltonian(effective_hamiltonian(u), state))
+    assert np.max(np.abs(by_permanent - by_generator)) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_haar_fock_case(), data=st.data())
+def test_permuting_the_rows_of_u_permutes_the_output_occupations(case, data):
+    # U'[j] = U[perm[j]] gives output s the amplitude U gives t, t[perm[j]] = s[j]
+    u, occ = case
+    perm = data.draw(st.permutations(range(len(occ))))
+    out, permuted = _on_a_small_basis_cache(occ, lambda state: evolve_state(u, state),
+                                            lambda state: evolve_state(u[perm], state))
+    basis = enumerate_basis(len(occ), sum(occ))
+    source = [basis.index_of(t) for t in basis.occupations[:, np.argsort(perm)].tolist()]
+    assert np.max(np.abs(permuted - out[source])) <= 1e-12
 
 
 def test_norm_conservation_on_random_unitaries():

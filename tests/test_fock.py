@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -156,6 +158,111 @@ def test_env_cap_override(monkeypatch):
     monkeypatch.setenv("NOONFORGE_CAP", "banana")
     with pytest.raises(InputError):
         enumerate_basis(4, 2)
+
+
+# --- shared bases --------------------------------------------------------------
+
+def test_enumerate_basis_returns_one_shared_basis():
+    basis = enumerate_basis(4, 2)
+    assert enumerate_basis(4, 2) is basis
+    assert enumerate_basis(np.int64(4), np.int64(2)) is basis
+    assert type(basis.modes) is int and type(basis.photons) is int
+    assert state_from_spec("0,0,1,1")[0] is basis
+    assert enumerate_basis(4, 2).ladder is basis.ladder
+    assert enumerate_basis(4, 2).labels is basis.labels
+
+
+def test_shared_basis_is_read_only():
+    basis = enumerate_basis(4, 2)
+    with pytest.raises(AttributeError, match="read-only"):
+        basis.modes = 5
+    with pytest.raises(AttributeError, match="read-only"):
+        basis.states = ()
+    assert basis.modes == 4 and len(basis.states) == 10
+
+
+def test_float_counts_are_refused_after_a_hit():
+    enumerate_basis(4, 2)
+    with pytest.raises(TypeError):
+        enumerate_basis(4, 2.0)
+    with pytest.raises(TypeError):
+        enumerate_basis(4.0, 2)
+
+
+def test_cap_is_checked_on_a_hit(monkeypatch):
+    enumerate_basis(4, 2)
+    monkeypatch.setenv("NOONFORGE_CAP", "5")
+    with pytest.raises(CapacityError,
+                       match="basis of 10 states for 2 photons over 4 modes exceeds the cap of 5"):
+        enumerate_basis(4, 2)
+
+
+def test_basis_cache_stays_within_its_bound(monkeypatch):
+    bound = 300_000
+    monkeypatch.setattr(fock, "BASIS_CACHE_BYTES", bound)
+    monkeypatch.setattr(fock, "_basis_cache", {})
+    keys = [(modes, photons) for modes in range(2, 6) for photons in range(9)]
+    for key in keys:
+        assert fock._footprint(*key, len(enumerate_basis(*key))) <= bound
+        assert key in fock._basis_cache
+        assert fock._basis_bytes() <= bound
+    # the oldest went first: what is left is the newest keys, in order
+    assert list(fock._basis_cache) == keys[-len(fock._basis_cache):]
+    assert len(fock._basis_cache) < len(keys)
+    kept = dict(fock._basis_cache)
+    over = enumerate_basis(12, 5)
+    assert fock._footprint(12, 5, len(over)) > bound
+    assert enumerate_basis(12, 5) is not over
+    assert fock._basis_cache == kept
+
+
+def test_basis_cache_admits_from_many_threads(monkeypatch):
+    bound = 100_000
+    monkeypatch.setattr(fock, "BASIS_CACHE_BYTES", bound)
+    monkeypatch.setattr(fock, "_basis_cache", {})
+    keys = [(modes, photons) for modes in range(2, 6) for photons in range(7)]
+    errors = []
+
+    def admit(offset):
+        try:
+            for i in range(200):
+                modes, photons = keys[(offset + 7 * i) % len(keys)]
+                assert enumerate_basis(modes, photons).modes == modes
+        except Exception as exc:  # a thread cannot fail the test itself; asserted below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=admit, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert fock._basis_bytes() <= bound
+
+
+@pytest.mark.parametrize("modes,photons", [(1, 5), (2, 1), (2, 300), (2, 3000), (4, 0),
+                                           (4, 8), (4, 14), (8, 5), (12, 5), (41, 2)])
+def test_footprint_bounds_every_table_of_a_basis(modes, photons):
+    tracemalloc.start()
+    try:
+        basis = FockBasis(modes, photons)
+        basis.states, basis.labels, basis.ladder
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= fock._footprint(modes, photons, len(basis))
+
+
+@pytest.mark.parametrize("modes,photons", [(1, 0), (2, 3), (4, 4), (3, 300), (12, 2)])
+def test_labels_are_the_formatted_states(modes, photons):
+    basis = enumerate_basis(modes, photons)
+    assert basis.labels == tuple(fock.format_occupations(s) for s in basis.states)
 
 
 # --- state specs -------------------------------------------------------------
@@ -327,10 +434,12 @@ def test_amplitude_rows_match_one_scalar_call_per_amplitude():
     amps = np.concatenate([mags * np.exp(1j * rng.uniform(-np.pi, np.pi, 2000)),
                            rng.uniform(0.1, 2, 2000) * np.exp(1j * np.radians(degs)),
                            [0, -0.0, -1e-13j, -1]])
-    states = [(i, 0) for i in range(len(amps))]
-    expected = [{"state": f"{i},0",
+    labels = [f"{i},0" for i in range(len(amps))]
+    # 0, -0.0 and -1e-13j are at most NEGLIGIBLE_AMPLITUDE, so their phase prints as 0
+    phases = [math.degrees(np.angle(a)) for a in amps[:-4]] + [0.0, 0.0, 0.0, 180.0]
+    expected = [{"state": label,
                  "mag": serialize.fixed(abs(a), 6),
-                 "phase_deg": serialize.fixed(math.degrees(np.angle(a)), 6)}
-                for i, a in enumerate(amps)]
-    assert amplitude_rows(states, amps) == expected
-    assert amplitude_rows(states, list(amps)) == expected
+                 "phase_deg": serialize.fixed(phase, 6)}
+                for label, a, phase in zip(labels, amps, phases)]
+    assert amplitude_rows(labels, amps) == expected
+    assert amplitude_rows(labels, list(amps)) == expected
