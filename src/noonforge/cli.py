@@ -39,7 +39,7 @@ def _print_amplitude_rows(pairs):
     for occ, amp in pairs:
         mag = abs(amp)
         deg = math.degrees(np.angle(amp))
-        if round(deg) == 0:
+        if mag <= NEGLIGIBLE_AMPLITUDE or round(deg) == 0:
             deg = 0.0
         print(f"  {mag:.4f} @ {deg:+4.0f} deg  |{format_occupations(occ)}>")
 

@@ -4,8 +4,9 @@ A NOON component is a basis state with all photons bunched in one port. The
 ideal target is their equal-magnitude superposition; per-port output phase
 shifters can align any phases for free, so the fidelity reduces to the closed
 form (sum |c_j|)^2 / (K sum |c_j|^2), which is 1 exactly when the magnitudes
-are equal. A report therefore needs only the K bunched output amplitudes;
-noon_report and sweep_inputs compute just those.
+are equal. A report therefore needs only the K bunched output amplitudes. One
+scorer turns a matrix of them, a row per input, into reports in one array pass:
+sweep_inputs scores every input at once, noon_report and extract_noon one row.
 """
 
 from __future__ import annotations
@@ -68,36 +69,45 @@ def noon_components(basis: FockBasis) -> list[FockState]:
     return list(_noon_states(basis.photons, basis.modes))
 
 
-def _report_from_amplitudes(raw: np.ndarray, photons: int, modes: int) -> NoonReport:
+def _bunched_amplitudes(u: np.ndarray, inputs, photons: int) -> np.ndarray:
+    """The K bunched output amplitudes of each input, a row each: its nonzero
+    (occupations, coeff) terms summed from zero in basis order, as evolve_state sums."""
+    targets = _noon_states(photons, u.shape[0])
+    raw = np.zeros((len(inputs), len(targets)), dtype=complex)
+    for row, terms in zip(raw, inputs):
+        for occ_in, coeff in terms:
+            for j, target in enumerate(targets):
+                row[j] += coeff * transition_amplitude(u, occ_in, target)
+    return raw
+
+
+def _score(raw: np.ndarray, photons: int) -> list[NoonReport]:
+    """One NoonReport per row of bunched amplitudes, every row in one array pass; a row
+    of at most ZERO_WEIGHT bunched probability gets the zero-success placeholder."""
     if photons < 1:
         raise ShapeError("NOON extraction needs at least one photon")
+    modes = raw.shape[1]
     magnitudes = np.abs(raw)
-    success = float(np.sum(magnitudes ** 2))
-    if success <= ZERO_WEIGHT:
-        raise ZeroProbabilityError("no probability weight on the bunched components")
+    success = (magnitudes ** 2).sum(axis=1)
+    weighted = success > ZERO_WEIGHT
+    divisor = np.where(weighted, success, 1.0)
     # A shifter on port j multiplies |..n_j..> by exp(i n_j theta_j); the
     # bunched component picks up exp(i N theta_j), so -arg(c_j)/N aligns it.
-    phases = tuple(-math.degrees(a) / photons for a in np.angle(raw).tolist())
-    normalized = tuple((magnitudes / math.sqrt(success)).tolist())
-    fidelity = float(np.sum(magnitudes)) ** 2 / (modes * success)
-    return NoonReport(photons, modes, tuple(raw.tolist()), success,
-                      phases, normalized, fidelity)
+    phases = -np.angle(raw, deg=True) / photons
+    normalized = magnitudes / np.sqrt(divisor)[:, np.newaxis]
+    fidelity = np.square(magnitudes.sum(axis=1)) / (modes * divisor)
+    zero = (0.0,) * modes
+    columns = raw.tolist(), success.tolist(), phases.tolist(), normalized.tolist()
+    return [NoonReport(photons, modes, tuple(c), s, tuple(p), tuple(m), f) if w
+            else NoonReport(photons, modes, (0j,) * modes, 0.0, zero, zero, 0.0)
+            for w, c, s, p, m, f in zip(weighted.tolist(), *columns, fidelity.tolist())]
 
 
-def _bunched_report(u: np.ndarray, terms, photons: int) -> NoonReport:
-    """NoonReport of S sum_k coeff_k |occ_k> from its K bunched amplitudes alone.
-
-    `terms` lists the input's nonzero (occupations, coeff) pairs in basis
-    order, the order evolve_state sums them in, so the amplitudes match its
-    table bit for bit.
-    """
-    modes = u.shape[0]
-    targets = _noon_states(photons, modes)
-    raw = np.zeros(modes, dtype=complex)
-    for occ_in, coeff in terms:
-        for j, target in enumerate(targets):
-            raw[j] += coeff * transition_amplitude(u, occ_in, target)
-    return _report_from_amplitudes(raw, photons, modes)
+def _single_report(raw: np.ndarray, photons: int) -> NoonReport:
+    (report,) = _score(raw, photons)
+    if report.success_probability == 0.0:  # the placeholder: no bunched weight
+        raise ZeroProbabilityError("no probability weight on the bunched components")
+    return report
 
 
 def noon_report(matrix, state: QuantumState) -> NoonReport:
@@ -108,13 +118,14 @@ def noon_report(matrix, state: QuantumState) -> NoonReport:
     """
     u = require_evolvable(matrix, state)
     terms = [(occ, c) for occ, c in zip(state.basis.states, state.amplitudes) if c != 0]
-    return _bunched_report(u, terms, state.basis.photons)
+    return _single_report(_bunched_amplitudes(u, [terms], state.basis.photons),
+                          state.basis.photons)
 
 
 def extract_noon(table: TransitionTable) -> NoonReport:
     """Post-select the bunched components and report success, phases, fidelity."""
-    raw = np.array([table.amplitude(occ) for occ in noon_components(table.basis)])
-    return _report_from_amplitudes(raw, table.basis.photons, table.basis.modes)
+    raw = np.array([[table.amplitude(occ) for occ in noon_components(table.basis)]])
+    return _single_report(raw, table.basis.photons)
 
 
 def post_select(table: TransitionTable, kept) -> tuple[QuantumState, float]:
@@ -139,18 +150,12 @@ def post_select(table: TransitionTable, kept) -> tuple[QuantumState, float]:
     return state, probability
 
 
-def _zero_report(photons: int, modes: int) -> NoonReport:
-    zeros = (0.0,) * modes
-    return NoonReport(photons, modes, (0j,) * modes, 0.0, zeros, zeros, 0.0)
-
-
 def sweep_inputs(matrix, total_photons: int) -> list[tuple[FockState, NoonReport]]:
     """Rank every n-photon input over the matrix's ports by NOON success probability.
 
-    Each input is scored from its K bunched output amplitudes alone, as
-    noon_report does; the reports are identical to running extract_noon on
-    the full table. Inputs with no bunched weight get a
-    zero-success placeholder (fidelity 0) and rank last. Successes within
+    Every input's K bunched output amplitudes are scored in one array pass, each
+    report equal to noon_report's for that input. Inputs with no bunched weight
+    get a zero-success placeholder (fidelity 0) and rank last. Successes within
     fock.TIE_TOLERANCE of their tied group's largest rank as equal and break
     on the ascending lexicographic order of the input occupations. More
     photons than a permanent takes are refused before any basis is built.
@@ -159,12 +164,7 @@ def sweep_inputs(matrix, total_photons: int) -> list[tuple[FockState, NoonReport
         raise ShapeError("sweep needs at least one photon")
     require_permanent_size(total_photons)
     u = require_unitary(matrix)
-    modes = u.shape[0]
-    rows = []
-    for occ in reversed(enumerate_basis(modes, total_photons).states):
-        try:
-            report = _bunched_report(u, [(occ, 1)], total_photons)
-        except ZeroProbabilityError:
-            report = _zero_report(total_photons, modes)
-        rows.append((occ, report))
-    return rank_descending(rows, [report.success_probability for _, report in rows])
+    inputs = enumerate_basis(u.shape[0], total_photons).states[::-1]
+    reports = _score(_bunched_amplitudes(u, [[(occ, 1)] for occ in inputs], total_photons),
+                     total_photons)
+    return rank_descending(list(zip(inputs, reports)), [r.success_probability for r in reports])

@@ -38,6 +38,18 @@ def identity4(tmp_path):
 
 
 @pytest.fixture
+def fourier4(tmp_path):
+    # Through the 4-port Fourier matrix, 25 of the 35 outputs of 1,1,1,1 are
+    # suppressed (Tichy et al., PRL 104, 220405, 2010); their amplitudes are
+    # rounding noise of at most 1e-16, whose phase would be arbitrary.
+    ports = np.arange(4)
+    fourier = np.exp(2j * np.pi * np.outer(ports, ports) / 4) / 2
+    path = tmp_path / "fourier4.json"
+    save_matrix(path, MatrixFile.from_array(fourier, "4-port Fourier"))
+    return str(path)
+
+
+@pytest.fixture
 def identity2(tmp_path):
     path = tmp_path / "identity2.json"
     save_matrix(path, MatrixFile.from_array(np.eye(2), "identity"))
@@ -132,15 +144,8 @@ def test_evolve_json_is_deterministic(run):
     assert first == second
 
 
-def test_negligible_amplitudes_print_phase_zero(run, tmp_path):
-    # Through the 4-port Fourier matrix, 25 of the 35 outputs of 1,1,1,1 are
-    # suppressed (Tichy et al., PRL 104, 220405, 2010); their amplitudes are
-    # rounding noise of at most 1e-16, whose phase would be arbitrary.
-    ports = np.arange(4)
-    fourier = np.exp(2j * np.pi * np.outer(ports, ports) / 4) / 2
-    path = tmp_path / "fourier4.json"
-    save_matrix(path, MatrixFile.from_array(fourier, "4-port Fourier"))
-    code, output = run("evolve", "--json", "--matrix", str(path), "--input", "1,1,1,1")
+def test_negligible_amplitudes_print_phase_zero(run, fourier4):
+    code, output = run("evolve", "--json", "--matrix", fourier4, "--input", "1,1,1,1")
     assert code == 0
     rows = json.loads(output)["amplitudes"]
     assert len(rows) == 35
@@ -151,6 +156,20 @@ def test_negligible_amplitudes_print_phase_zero(run, tmp_path):
     assert '"mag": 0.000000, "phase_deg": 0.000000' in output
     # an allowed output keeps its phase
     assert [abs(row["phase_deg"]) for row in rows if row["state"] == "2,1,0,1"] == [180]
+
+
+def test_negligible_amplitudes_list_phase_zero(run, fourier4):
+    # the text listing follows the --json rule: a suppressed output prints +0 deg
+    code, output = run("evolve", "--matrix", fourier4, "--input", "1,1,1,1")
+    assert code == 0
+    rows = re.findall(r"^  (\d\.\d{4}) @ +([+-]\d+) deg  \|([\d,]+)>$", output, re.M)
+    assert len(rows) == 35
+    suppressed = [row for row in rows
+                  if sum(j * int(n) for j, n in enumerate(row[2].split(","))) % 4]
+    assert len(suppressed) == 25
+    assert all(mag == "0.0000" and deg == "+0" for mag, deg, _ in suppressed)
+    # an allowed output keeps its phase
+    assert [deg for _, deg, state in rows if state == "2,1,0,1"] in (["+180"], ["-180"])
 
 
 def test_evolve_superposition_input_round_trips(run):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,39 @@ def test_sweep_matches_extract_noon(operator_ii):
         assert rows[occ].success_probability == pytest.approx(
             direct.success_probability, abs=1e-12)
         assert rows[occ].fidelity == pytest.approx(direct.fidelity, abs=1e-12)
+
+
+def _sweep_cases():
+    splitters = [(name, n) for name in ("splitter_i", "splitter_ii") for n in range(1, 7)]
+    return splitters + [("haar5", 3)] + [("identity", n) for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("name,photons", _sweep_cases())
+def test_sweep_reports_equal_noon_report(name, photons, request):
+    if name == "haar5":
+        u = haar_unitary(5, np.random.default_rng(RNG_SEED))
+    elif name == "identity":
+        u = np.eye(4)
+    else:
+        u = evolution_operator(unitarize(request.getfixturevalue(name)))
+    modes = u.shape[0]
+    basis = enumerate_basis(modes, photons)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = sweep_inputs(u, photons)
+        assert sorted(occ for occ, _ in rows) == sorted(basis.states)
+        for occ, report in rows:
+            state = QuantumState.from_occupations(basis, occ)
+            if report.success_probability == 0.0:
+                # no bunched weight: the placeholder, where a single report refuses
+                assert report == noon.NoonReport(photons, modes, (0j,) * modes, 0.0,
+                                                 (0.0,) * modes, (0.0,) * modes, 0.0)
+                with pytest.raises(ZeroProbabilityError):
+                    noon_report(u, state)
+            else:
+                assert report == noon_report(u, state)
+    if name == "identity":
+        assert sum(r.success_probability == 0.0 for _, r in rows) == len(rows) - modes
 
 
 def test_single_photon_sweep_is_trivial(operator_ii):
