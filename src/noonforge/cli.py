@@ -29,19 +29,17 @@ from . import serialize
 from .errors import InputError, NumericError
 from .evolve import evolve_state, require_permanent_size
 from .fock import (NEGLIGIBLE_AMPLITUDE, QuantumState, amplitude_rows, format_occupations,
-                   parse_occupations, parse_spec, state_from_kets)
+                   parse_occupations, parse_spec, phases_deg, state_from_kets)
 from .noon import noon_components, noon_report, post_select, sweep_inputs
 from .reference import operator_from_file, reproduction_claims
 from .unitary import MatrixFile, load_matrix, save_matrix, unitarity_defect, unitarize
 
 
 def _print_amplitude_rows(pairs):
-    for occ, amp in pairs:
-        mag = abs(amp)
-        deg = math.degrees(np.angle(amp))
-        if mag <= NEGLIGIBLE_AMPLITUDE or round(deg) == 0:
-            deg = 0.0
-        print(f"  {mag:.4f} @ {deg:+4.0f} deg  |{format_occupations(occ)}>")
+    magnitudes = [abs(amp) for _, amp in pairs]
+    degrees = phases_deg([amp for _, amp in pairs], magnitudes).tolist()
+    for (occ, _), mag, deg in zip(pairs, magnitudes, degrees):
+        print(f"  {mag:.4f} @ {round(deg):+4d} deg  |{format_occupations(occ)}>")
 
 
 def _input_state(spec: str) -> QuantumState:
@@ -135,10 +133,8 @@ def cmd_noon(matrix_path: str, input_spec: str, select: str | None = None,
         for occ, c, m, shifter in zip(
                 noon_components(state.basis), report.raw_amplitudes,
                 report.normalized_amplitudes, report.optimal_phases_deg):
-            if round(shifter) == 0:
-                shifter = 0.0
             print(f"  |{format_occupations(occ)}>  mag {abs(c):.4f}  "
-                  f"normalized {m:.4f}  shifter {shifter:+5.0f} deg")
+                  f"normalized {m:.4f}  shifter {round(shifter):+5d} deg")
     return 0
 
 

@@ -227,8 +227,7 @@ class TransitionTable(QuantumState):
     def sorted_components(self):
         """(occupations, amplitude) pairs sorted by descending magnitude.
 
-        Ties (within fock.TIE_TOLERANCE) keep basis order, so the listing is
-        deterministic.
+        Ties (within fock.NEGLIGIBLE_AMPLITUDE) keep basis order: the listing is deterministic.
         """
         pairs = [(occ, complex(a)) for occ, a in zip(self.basis.states, self.amplitudes)]
         return rank_descending(pairs, np.abs(self.amplitudes))

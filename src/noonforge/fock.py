@@ -22,7 +22,6 @@ FockState = tuple[int, ...]
 DEFAULT_STATE_CAP = 10_000_000
 CAP_ENV_VAR = "NOONFORGE_CAP"
 NEGLIGIBLE_AMPLITUDE = 1e-12
-TIE_TOLERANCE = 1e-12
 # Most bytes the shared bases may hold together, each counted with every table
 # built from it (see _footprint): about 120,000 states of 4 modes. A full cache
 # drops its oldest basis; a basis larger than the bound is built and not kept.
@@ -295,34 +294,42 @@ def format_occupations(occupations: FockState) -> str:
     return ",".join(map(str, occupations))
 
 
-def amplitude_rows(labels, amplitudes) -> list[dict]:
-    """JSON rows for (ket text, amplitude) pairs: ket, magnitude and phase to 6 decimal places.
+def phases_deg(amplitudes, magnitudes) -> np.ndarray:
+    """Each amplitude's printed phase in degrees, given |a| as the caller prints it.
 
-    The phase of an amplitude of magnitude at most NEGLIGIBLE_AMPLITUDE is
-    rounding noise, so it prints as 0. The phases come from one np.angle
-    call over every amplitude, which runs the same arctan2 loop as one call
-    per amplitude. Magnitudes take the scalar abs (hypot), which the
-    vectorized np.abs does not match bit for bit.
+    Rounding noise never picks a phase: it is 0 where |a| <= NEGLIGIBLE_AMPLITUDE,
+    and 0 or 180, never -180, where |Im a| <= NEGLIGIBLE_AMPLITUDE |a|. Any other
+    phase is np.angle's, bit for bit.
     """
+    amplitudes, magnitudes = np.asarray(amplitudes, dtype=complex), np.asarray(magnitudes)
+    noise = np.abs(amplitudes.imag) <= NEGLIGIBLE_AMPLITUDE * magnitudes
+    degrees = np.arctan2(np.where(noise, 0.0, amplitudes.imag), amplitudes.real) * (180 / np.pi)
+    degrees[magnitudes <= NEGLIGIBLE_AMPLITUDE] = 0.0
+    return degrees
+
+
+def amplitude_rows(labels, amplitudes) -> list[dict]:
+    """JSON rows for (ket text, amplitude) pairs: ket, magnitude and phases_deg to 6 decimal
+    places. Magnitudes take the scalar abs (hypot), whose bits np.abs does not match."""
     amplitudes = np.asarray(amplitudes, dtype=complex)
+    magnitudes = list(map(abs, amplitudes.tolist()))
     return [{"state": label,
              "mag": serialize.fixed(mag, 6),
-             "phase_deg": serialize.fixed(
-                 math.degrees(phase) if mag > NEGLIGIBLE_AMPLITUDE else 0.0, 6)}
-            for label, mag, phase in zip(labels, map(abs, amplitudes.tolist()),
-                                         np.angle(amplitudes).tolist())]
+             "phase_deg": serialize.fixed(phase, 6)}
+            for label, mag, phase in zip(labels, magnitudes,
+                                         phases_deg(amplitudes, magnitudes).tolist())]
 
 
 def rank_descending(items, scores) -> list:
     """`items` ordered by descending score, exact ties kept in the given order.
 
-    A score within TIE_TOLERANCE of the largest score in its tied group ranks
-    equal to it, so rounding noise in the last bits of a computed score (say
-    of two amplitudes a symmetry makes equal) cannot reorder the listing.
+    A score within NEGLIGIBLE_AMPLITUDE of the largest score in its tied group
+    ranks equal to it, so rounding noise in the last bits of a computed score
+    (say of two amplitudes a symmetry makes equal) cannot reorder the listing.
     """
     groups, top = [], None
     for i in sorted(range(len(items)), key=lambda i: -scores[i]):
-        if top is None or top - scores[i] > TIE_TOLERANCE:
+        if top is None or top - scores[i] > NEGLIGIBLE_AMPLITUDE:
             top = scores[i]
             groups.append([])
         groups[-1].append(i)

@@ -21,11 +21,9 @@ from . import serialize
 from .errors import ShapeError, SpecError, ZeroProbabilityError
 from .evolve import (TransitionTable, require_evolvable, require_permanent_size,
                      transition_amplitude)
-from .fock import (FockBasis, FockState, QuantumState, amplitude_rows, enumerate_basis,
-                   format_occupations, rank_descending)
+from .fock import (NEGLIGIBLE_AMPLITUDE, FockBasis, FockState, QuantumState, amplitude_rows,
+                   enumerate_basis, format_occupations, phases_deg, rank_descending)
 from .unitary import require_unitary
-
-ZERO_WEIGHT = 1e-24
 
 
 @dataclass(frozen=True)
@@ -82,18 +80,18 @@ def _bunched_amplitudes(u: np.ndarray, inputs, photons: int) -> np.ndarray:
 
 
 def _score(raw: np.ndarray, photons: int) -> list[NoonReport]:
-    """One NoonReport per row of bunched amplitudes, every row in one array pass; a row
-    of at most ZERO_WEIGHT bunched probability gets the zero-success placeholder."""
+    """One NoonReport per row of bunched amplitudes, every row in one array pass; a row of
+    at most NEGLIGIBLE_AMPLITUDE ** 2 bunched probability gets the zero-success placeholder."""
     if photons < 1:
         raise ShapeError("NOON extraction needs at least one photon")
     modes = raw.shape[1]
     magnitudes = np.abs(raw)
     success = (magnitudes ** 2).sum(axis=1)
-    weighted = success > ZERO_WEIGHT
+    weighted = success > NEGLIGIBLE_AMPLITUDE ** 2
     divisor = np.where(weighted, success, 1.0)
     # A shifter on port j multiplies |..n_j..> by exp(i n_j theta_j); the
     # bunched component picks up exp(i N theta_j), so -arg(c_j)/N aligns it.
-    phases = -np.angle(raw, deg=True) / photons
+    phases = -phases_deg(raw, magnitudes) / photons
     normalized = magnitudes / np.sqrt(divisor)[:, np.newaxis]
     fidelity = np.square(magnitudes.sum(axis=1)) / (modes * divisor)
     zero = (0.0,) * modes
@@ -142,7 +140,7 @@ def post_select(table: TransitionTable, kept) -> tuple[QuantumState, float]:
             raise SpecError(f"selected state {occ} is not in the table's basis")
     indices = [table.basis.index_of(occ) for occ in states]
     probability = float(sum(abs(table.amplitudes[i]) ** 2 for i in indices))
-    if probability <= ZERO_WEIGHT:
+    if probability <= NEGLIGIBLE_AMPLITUDE ** 2:
         raise ZeroProbabilityError("post-selection kept zero probability")
     amps = np.zeros(len(table.basis), dtype=complex)
     amps[indices] = table.amplitudes[indices]
@@ -156,7 +154,7 @@ def sweep_inputs(matrix, total_photons: int) -> list[tuple[FockState, NoonReport
     Every input's K bunched output amplitudes are scored in one array pass, each
     report equal to noon_report's for that input. Inputs with no bunched weight
     get a zero-success placeholder (fidelity 0) and rank last. Successes within
-    fock.TIE_TOLERANCE of their tied group's largest rank as equal and break
+    fock.NEGLIGIBLE_AMPLITUDE of their tied group's largest rank as equal and break
     on the ascending lexicographic order of the input occupations. More
     photons than a permanent takes are refused before any basis is built.
     """

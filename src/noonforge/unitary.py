@@ -80,7 +80,7 @@ def require_square(matrix) -> np.ndarray:
 
 def _finite_square(matrix) -> np.ndarray:
     m = require_square(matrix)
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise ShapeError("matrix entries must be finite")
     return m
 

@@ -50,6 +50,18 @@ def fourier4(tmp_path):
 
 
 @pytest.fixture
+def fourier_hadamard4(tmp_path):
+    # F (H + H), stored as its transpose: a file holds input port i in row i.
+    # Each of 0,0,1,1's bunched outputs 2,0,0,0 and 0,0,2,0 is rounding noise.
+    ports = np.arange(4)
+    fourier = np.exp(2j * np.pi * np.outer(ports, ports) / 4) / 2
+    hadamards = np.kron(np.eye(2), [[1, 1], [1, -1]]) / np.sqrt(2)
+    path = tmp_path / "fourier_hadamard4.json"
+    save_matrix(path, MatrixFile.from_array((fourier @ hadamards).T, "F (H + H)"))
+    return str(path)
+
+
+@pytest.fixture
 def identity2(tmp_path):
     path = tmp_path / "identity2.json"
     save_matrix(path, MatrixFile.from_array(np.eye(2), "identity"))
@@ -156,6 +168,10 @@ def test_negligible_amplitudes_print_phase_zero(run, fourier4):
     assert '"mag": 0.000000, "phase_deg": 0.000000' in output
     # an allowed output keeps its phase
     assert [abs(row["phase_deg"]) for row in rows if row["state"] == "2,1,0,1"] == [180]
+    # a real negative amplitude prints 180, whatever the sign of its imaginary noise
+    _, output = run("evolve", "--json", "--matrix", fourier4, "--input", "1,2,0,0")
+    assert '{"state": "2,0,1,0", "mag": 0.125000, "phase_deg": 180.000000}' in output
+    assert "-180.000000" not in output
 
 
 def test_negligible_amplitudes_list_phase_zero(run, fourier4):
@@ -170,6 +186,22 @@ def test_negligible_amplitudes_list_phase_zero(run, fourier4):
     assert all(mag == "0.0000" and deg == "+0" for mag, deg, _ in suppressed)
     # an allowed output keeps its phase
     assert [deg for _, deg, state in rows if state == "2,1,0,1"] in (["+180"], ["-180"])
+    _, output = run("evolve", "--matrix", fourier4, "--input", "1,2,0,0")
+    assert "  0.1250 @ +180 deg  |2,0,1,0>\n" in output
+    assert "-180" not in output
+
+
+def test_negligible_bunched_components_print_shifter_zero(run, fourier_hadamard4):
+    code, output = run("noon", "--json", "--matrix", fourier_hadamard4, "--input", "0,0,1,1")
+    assert code == 0
+    rows = json.loads(output)["components"]
+    assert [row["state"] for row in rows if row["mag"] == 0] == ["2,0,0,0", "0,0,2,0"]
+    assert all(row["optimal_phase_deg"] == 0 for row in rows if row["mag"] == 0)
+    assert ('{"state": "0,0,2,0", "mag": 0.000000, "phase_deg": 0.000000, '
+            '"normalized_mag": 0.0000, "optimal_phase_deg": 0.00}') in output
+    code, output = run("noon", "--matrix", fourier_hadamard4, "--input", "0,0,1,1")
+    assert code == 0
+    assert "  |0,0,2,0>  mag 0.0000  normalized 0.0000  shifter    +0 deg\n" in output
 
 
 def test_evolve_superposition_input_round_trips(run):

@@ -433,10 +433,13 @@ def test_amplitude_rows_match_one_scalar_call_per_amplitude():
     degs = (rng.integers(-180 * 10 ** 6, 180 * 10 ** 6, 2000) + 0.5) / 1e6
     amps = np.concatenate([mags * np.exp(1j * rng.uniform(-np.pi, np.pi, 2000)),
                            rng.uniform(0.1, 2, 2000) * np.exp(1j * np.radians(degs)),
-                           [0, -0.0, -1e-13j, -1]])
+                           [0, -0.0, -1e-13j, -1, -0.5 - 1e-17j, -1 - 1e-11j]])
     labels = [f"{i},0" for i in range(len(amps))]
-    # 0, -0.0 and -1e-13j are at most NEGLIGIBLE_AMPLITUDE, so their phase prints as 0
-    phases = [math.degrees(np.angle(a)) for a in amps[:-4]] + [0.0, 0.0, 0.0, 180.0]
+    # 0, -0.0 and -1e-13j are at most NEGLIGIBLE_AMPLITUDE, so their phase prints as
+    # 0; -0.5 - 1e-17j is real to within NEGLIGIBLE_AMPLITUDE of its magnitude, so
+    # its phase is 180, not -180; -1 - 1e-11j is not, and keeps its phase
+    phases = ([math.degrees(np.angle(a)) for a in amps[:-6]]
+              + [0.0, 0.0, 0.0, 180.0, 180.0, math.degrees(np.angle(-1 - 1e-11j))])
     expected = [{"state": label,
                  "mag": serialize.fixed(abs(a), 6),
                  "phase_deg": serialize.fixed(phase, 6)}

@@ -109,6 +109,17 @@ def test_report_invariants(pair_table):
         assert theta == pytest.approx(-np.angle(c, deg=True) / 2)
 
 
+def test_negligible_bunched_components_get_phase_zero():
+    # F (H + H) sends 2,1,0,1 to 0,0,4,0 with an amplitude of 3e-33, rounding
+    # noise, and to 0,4,0,0 and 0,0,0,4 with real negative amplitudes
+    ports = np.arange(4)
+    fourier = np.exp(2j * np.pi * np.outer(ports, ports) / 4) / 2
+    hadamards = np.kron(np.eye(2), [[1, 1], [1, -1]]) / np.sqrt(2)
+    report = noon_report(fourier @ hadamards, state_from_spec("2,1,0,1")[1])
+    assert [abs(c) <= 1e-12 for c in report.raw_amplitudes] == [True, False, True, False]
+    assert report.optimal_phases_deg == (0.0, -45.0, 0.0, -45.0)
+
+
 @pytest.mark.parametrize("name", ["splitter_i", "splitter_ii"])
 def test_noon_report_equals_extract_noon(name, request):
     u = evolution_operator(unitarize(request.getfixturevalue(name)))

@@ -18,14 +18,18 @@ from noonforge import (
     ShapeError,
     SingularMatrixError,
     effective_hamiltonian,
+    evolve_state,
     matrix_exp,
+    noon_report,
     reference,
+    state_from_spec,
+    sweep_inputs,
     unitarity_defect,
     unitarize,
     validate_symmetry,
 )
 from noonforge.cli import main
-from noonforge.unitary import dumps_matrix, load_matrix, loads_matrix
+from noonforge.unitary import dumps_matrix, load_matrix, loads_matrix, max_unitarity_defect
 
 from oracles import haar_unitary, schur_generator
 
@@ -265,6 +269,31 @@ def test_generator_matches_schur_log(splitter_i, splitter_ii):
     matrices += [haar_unitary(4, rng) for _ in range(20)]
     for u in matrices:
         assert np.max(np.abs(effective_hamiltonian(u) - schur_generator(u))) <= 1e-12
+
+
+_BY_MATRIX = {
+    "unitarize": unitarize,
+    "unitarity_defect": unitarity_defect,
+    "max_unitarity_defect": max_unitarity_defect,
+    "evolve_state": lambda u: evolve_state(u, state_from_spec("1,2,0,1")[1]).amplitudes,
+    "noon_report": lambda u: noon_report(u, state_from_spec("1,2,0,1")[1]),
+    "sweep_inputs": lambda u: sweep_inputs(u, 3),
+    "effective_hamiltonian": effective_hamiltonian,
+    "from_array": lambda u: MatrixFile.from_array(u, "view"),
+}
+
+
+@pytest.mark.parametrize("view", [np.transpose, lambda u: u[:, ::-1]],
+                         ids=["transposed", "reversed_columns"])
+@pytest.mark.parametrize("entry", _BY_MATRIX.values(), ids=_BY_MATRIX.keys())
+def test_entry_points_take_non_contiguous_matrices(splitter_ii, entry, view):
+    matrix = view(unitarize(splitter_ii))
+    assert not matrix.flags.c_contiguous
+    got, expected = entry(matrix), entry(np.ascontiguousarray(matrix))
+    if isinstance(expected, np.ndarray):
+        np.testing.assert_array_equal(got, expected)
+    else:
+        assert got == expected
 
 
 # --- matrix files -----------------------------------------------------------
