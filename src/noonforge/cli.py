@@ -30,7 +30,7 @@ from .errors import InputError, NumericError
 from .evolve import evolve_state, require_permanent_size
 from .fock import (NEGLIGIBLE_AMPLITUDE, QuantumState, amplitude_rows, format_occupations,
                    parse_occupations, parse_spec, phases_deg, state_from_kets)
-from .noon import noon_components, noon_report, post_select, sweep_inputs
+from .noon import noon_components, noon_report, select_outputs, sweep_inputs
 from .reference import operator_from_file, reproduction_claims
 from .unitary import MatrixFile, load_matrix, save_matrix, unitarity_defect, unitarize
 
@@ -100,7 +100,7 @@ def cmd_noon(matrix_path: str, input_spec: str, select: str | None = None,
     if select is not None:
         kept = list(dict.fromkeys(
             parse_occupations(part) for part in select.split(";") if part.strip()))
-        selected, probability = post_select(evolve_state(u, state), kept)
+        selected, probability = select_outputs(u, state, kept)
         components = [(occ, a) for occ, a in zip(selected.basis.states, selected.amplitudes)
                       if abs(a) > NEGLIGIBLE_AMPLITUDE]
         if json_output:

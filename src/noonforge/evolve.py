@@ -2,11 +2,14 @@
 
 The production path computes each transition amplitude from one matrix
 permanent of a repeated-row/column submatrix, by Glynn's formula with the
-copies of each output port summed by their count: an output holding
+copies of each port of the counted side summed by their count: a side holding
 s_1 >= s_2 >= ... photons in its occupied ports costs
 (s_1//2 + 1) prod_(r>1) (s_r + 1) terms instead of 2^(N-1) (Glynn 2010;
-Chin & Huh 2018, Sci. Rep. 8:6101). The terms' tables are cached per sorted
-occupations and hold at most TABLE_CACHE_BYTES together. The cross-check
+Chin & Huh 2018, Sci. Rep. 8:6101). The counted side is the output, or the
+input where only the input is bunched into one port; a bunched side takes the
+closed form N! prod_i a_i of a one-column permanent and sums no terms. The
+terms' tables are cached per sorted occupations and hold at most
+TABLE_CACHE_BYTES together. The cross-check
 propagates the state by a Chebyshev series on the second-quantized
 generator's exact spectral interval [n lambda_min(A), n lambda_max(A)].
 """
@@ -107,11 +110,14 @@ def permanent(matrix, counts=None) -> complex:
     term unchanged, so f_0 stops at m_0 / 2 with the largest count first.
     That is (m_0 // 2 + 1) prod_(c>0) (m_c + 1) terms, 2^(n-1) with no
     repeats, each one column of an (n x k) @ (k x terms) product, then a
-    column product and a dot, with no Python loop. The tables are cached per
-    descending counts, so one per partition of n at most, and hold at most
+    column product and a dot, with no Python loop. One column repeated n
+    times needs no sum: its permanent is n! prod_i a_i, taken in closed form
+    on Python complexes, which is cheaper than the (n//2 + 1)-term sum and
+    exact to a few ulps. The tables are cached per descending counts, so one
+    per partition of n into two parts or more at most, and hold at most
     TABLE_CACHE_BYTES together. The all-ones table at n = PERMANENT_CAP = 16
-    holds 8.5 MiB; the tables of every partition of 16 into four parts or
-    fewer, all a 4-mode amplitude of 16 photons reaches, hold 0.65 MiB.
+    holds 8.5 MiB; the tables of every partition of 16 into two to four
+    parts, all a 4-mode amplitude of 16 photons reaches, hold 0.65 MiB.
     """
     if counts is None:
         a = require_square(matrix).T
@@ -126,6 +132,8 @@ def permanent(matrix, counts=None) -> complex:
     require_permanent_size(n)
     if n == 0:
         return 1 + 0j
+    if len(counts) == 1:
+        return math.factorial(n) * math.prod(a.ravel().tolist())
     key = tuple(sorted(counts, reverse=True))
     if key != counts:
         a = a[:, sorted(range(len(counts)), key=counts.__getitem__, reverse=True)]
@@ -188,11 +196,13 @@ def transition_amplitude(matrix, state_in: FockState, state_out: FockState) -> c
 
     U[out, in] repeats row j out_j times and column i in_i times. It reaches
     `permanent` transposed, with each occupied output port once and its
-    occupation as the column count, so a bunched output costs fewer terms.
-    Amplitudes across photon sectors are identically zero in a linear
-    passive network, so mismatched photon numbers are rejected rather than
-    silently zeroed, and more than PERMANENT_CAP photons before any index is
-    built.
+    occupation as the column count, so a bunched output costs fewer terms and
+    one bunched into a single port none. per(A) = per(A^T), so an input
+    bunched into a single port, with an output that is not, is counted in its
+    place: every output of N e_i takes the closed form. Amplitudes across
+    photon sectors are identically zero in a linear passive network, so
+    mismatched photon numbers are rejected rather than silently zeroed, and
+    more than PERMANENT_CAP photons before any index is built.
     """
     u = require_square(matrix)
     p_in = _ports(state_in, u.shape[0], "input")
@@ -203,6 +213,8 @@ def transition_amplitude(matrix, state_in: FockState, state_out: FockState) -> c
             f"photon number mismatch: input has {n}, output has {p_out.photons}")
     if n == 0:
         return 1 + 0j
+    if len(p_in.counts) == 1 < len(p_out.counts):
+        u, p_in, p_out = u.T, p_out, p_in
     a = u.take(p_out.occupied, 0).take(p_in.repeated, 1).T
     return permanent(a, p_out.counts) / math.sqrt(p_in.norm * p_out.norm)
 

@@ -10,6 +10,7 @@ import operator
 import os
 import re
 import threading
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,8 @@ class FockBasis:
         occupations.flags.writeable = False
         # s sits at sum_i fewer[i][r_i], r_i its photons after mode i: C(r+k-1, k) states,
         # k = m-1-i, agree with s before i and put more in i (Knuth, TAOCP 4A, 7.2.1.3).
-        fewer = tuple(tuple(math.comb(r + k - 1, k) for r in range(photons + 1))
+        # 8 bytes a count; indexing still yields Python ints.
+        fewer = tuple(array("q", [math.comb(r + k - 1, k) for r in range(photons + 1)])
                       for k in range(modes - 1, 0, -1))
         vars(self).update(modes=modes, photons=photons, occupations=occupations,
                           _fewer=fewer)
@@ -175,15 +177,17 @@ def _footprint(modes: int, photons: int, size: int) -> int:
     Per state: its occupation row, its tuple (an 80-byte header, 8 bytes an
     entry and an int object each past 256 photons), its ket text (64 bytes
     and a number and comma per mode) and its column of `lowered`; per state
-    of one photon fewer, its columns of `raised` and `root`; 40 bytes for
-    each of the (m - 1)(n + 1) counts `_position` reads; 4 KiB of headers.
+    of one photon fewer, its columns of `raised` and `root`; 8 bytes for
+    each of the (m - 1)(n + 1) counts `_position` reads and 80 for each of
+    their m - 1 arrays; 4 KiB of headers.
     tracemalloc finds 240-420 B per state at 4-12 modes.
     """
     fewer = math.comb(photons + modes - 2, modes - 1) if photons else 0
     entry = np.min_scalar_type(photons).itemsize + 8 + (32 if photons > 256 else 0)
     text = 64 + modes * (len(str(photons)) + 1)
     per_state = 80 + modes * entry + text + 8 * modes
-    return 4096 + 40 * (modes - 1) * (photons + 1) + size * per_state + 16 * modes * fewer
+    return (4096 + (modes - 1) * (80 + 8 * (photons + 1)) + size * per_state
+            + 16 * modes * fewer)
 
 
 def _basis_bytes() -> int:

@@ -7,6 +7,7 @@ form (sum |c_j|)^2 / (K sum |c_j|^2), which is 1 exactly when the magnitudes
 are equal. A report therefore needs only the K bunched output amplitudes. One
 scorer turns a matrix of them, a row per input, into reports in one array pass:
 sweep_inputs scores every input at once, noon_report and extract_noon one row.
+select_outputs likewise computes only the output amplitudes a post-selection keeps.
 """
 
 from __future__ import annotations
@@ -67,10 +68,14 @@ def noon_components(basis: FockBasis) -> list[FockState]:
     return list(_noon_states(basis.photons, basis.modes))
 
 
-def _bunched_amplitudes(u: np.ndarray, inputs, photons: int) -> np.ndarray:
-    """The K bunched output amplitudes of each input, a row each: its nonzero
-    (occupations, coeff) terms summed from zero in basis order, as evolve_state sums."""
-    targets = _noon_states(photons, u.shape[0])
+def _terms(state: QuantumState) -> list[tuple[FockState, complex]]:
+    """The (occupations, coeff) terms of `state` with nonzero coeff, in basis order."""
+    return [(occ, c) for occ, c in zip(state.basis.states, state.amplitudes) if c != 0]
+
+
+def _output_amplitudes(u: np.ndarray, inputs, targets) -> np.ndarray:
+    """The amplitudes of the `targets` output states from each input, a row each: its
+    (occupations, coeff) terms summed from zero in their order, as evolve_state sums."""
     raw = np.zeros((len(inputs), len(targets)), dtype=complex)
     for row, terms in zip(raw, inputs):
         for occ_in, coeff in terms:
@@ -115,9 +120,9 @@ def noon_report(matrix, state: QuantumState) -> NoonReport:
     K bunched output amplitudes instead of the full output table.
     """
     u = require_evolvable(matrix, state)
-    terms = [(occ, c) for occ, c in zip(state.basis.states, state.amplitudes) if c != 0]
-    return _single_report(_bunched_amplitudes(u, [terms], state.basis.photons),
-                          state.basis.photons)
+    photons = state.basis.photons
+    raw = _output_amplitudes(u, [_terms(state)], _noon_states(photons, u.shape[0]))
+    return _single_report(raw, photons)
 
 
 def extract_noon(table: TransitionTable) -> NoonReport:
@@ -126,19 +131,25 @@ def extract_noon(table: TransitionTable) -> NoonReport:
     return _single_report(raw, table.basis.photons)
 
 
-def post_select(table: TransitionTable, kept) -> tuple[QuantumState, float]:
-    """Project a table onto the kept states and renormalize.
-
-    Returns the renormalized state (canonical global phase) and the kept
-    probability weight.
-    """
+def _kept_positions(basis: FockBasis, kept) -> list[int]:
+    """Positions of the distinct kept states in `basis`; SpecError if there are none
+    or one is not in it."""
     states = list(dict.fromkeys(tuple(occ) for occ in kept))
     if not states:
         raise SpecError("post-selection must keep at least one state")
     for occ in states:
-        if occ not in table.basis:
+        if occ not in basis:
             raise SpecError(f"selected state {occ} is not in the table's basis")
-    indices = [table.basis.index_of(occ) for occ in states]
+    return [basis.index_of(occ) for occ in states]
+
+
+def post_select(table: QuantumState, kept) -> tuple[QuantumState, float]:
+    """Project a table onto the kept states and renormalize.
+
+    Returns the renormalized state (canonical global phase) and the kept
+    probability weight. Only the kept amplitudes of `table` are read.
+    """
+    indices = _kept_positions(table.basis, kept)
     probability = float(sum(abs(table.amplitudes[i]) ** 2 for i in indices))
     if probability <= NEGLIGIBLE_AMPLITUDE ** 2:
         raise ZeroProbabilityError("post-selection kept zero probability")
@@ -146,6 +157,21 @@ def post_select(table: TransitionTable, kept) -> tuple[QuantumState, float]:
     amps[indices] = table.amplitudes[indices]
     state = QuantumState(table.basis, amps / math.sqrt(probability)).canonical()
     return state, probability
+
+
+def select_outputs(matrix, state: QuantumState, kept) -> tuple[QuantumState, float]:
+    """post_select of a normalized state sent through a unitary multiport.
+
+    Equal to post_select(evolve_state(matrix, state), kept), but computes only
+    the kept output amplitudes instead of the full output table.
+    """
+    u = require_evolvable(matrix, state)
+    basis = state.basis
+    indices = _kept_positions(basis, kept)
+    amplitudes = np.zeros(len(basis), dtype=complex)
+    amplitudes[indices] = _output_amplitudes(u, [_terms(state)],
+                                             [basis.states[i] for i in indices])[0]
+    return post_select(QuantumState(basis, amplitudes), kept)
 
 
 def sweep_inputs(matrix, total_photons: int) -> list[tuple[FockState, NoonReport]]:
@@ -163,6 +189,7 @@ def sweep_inputs(matrix, total_photons: int) -> list[tuple[FockState, NoonReport
     require_permanent_size(total_photons)
     u = require_unitary(matrix)
     inputs = enumerate_basis(u.shape[0], total_photons).states[::-1]
-    reports = _score(_bunched_amplitudes(u, [[(occ, 1)] for occ in inputs], total_photons),
-                     total_photons)
+    raw = _output_amplitudes(u, [[(occ, 1)] for occ in inputs],
+                             _noon_states(total_photons, u.shape[0]))
+    reports = _score(raw, total_photons)
     return rank_descending(list(zip(inputs, reports)), [r.success_probability for r in reports])

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noonforge import MatrixFile, cli, fock, noon, reference, save_matrix, serialize
+from noonforge import MatrixFile, cli, evolve, fock, noon, reference, save_matrix, serialize
 from noonforge.cli import main
 from noonforge.fock import state_from_spec
 
@@ -361,6 +361,23 @@ def test_noon_reads_only_bunched_amplitudes(run, monkeypatch):
                        "--json")
     assert code == 0
     assert output == expected
+
+
+def test_noon_select_reads_only_kept_amplitudes(run, monkeypatch):
+    argv = ("noon", "--matrix", SPLITTER_II_PATH, "--input", "0,0,1,1",
+            "--select", "1,1,0,0;0,0,1,1", "--json")
+    _, expected = run(*argv)
+
+    def refuse(*args):
+        raise AssertionError("noon --select evolved the full table")
+
+    permanent, calls = evolve.permanent, []
+    monkeypatch.setattr(cli, "evolve_state", refuse)
+    monkeypatch.setattr(evolve, "permanent", lambda *args: calls.append(1) or permanent(*args))
+    code, output = run(*argv)
+    assert code == 0
+    assert output == expected
+    assert len(calls) == 2
 
 
 def test_noon_two_port_splitter(run, symmetric2):

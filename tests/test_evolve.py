@@ -260,6 +260,69 @@ def test_transition_amplitude_refuses_more_photons_than_the_cap(monkeypatch):
         transition_amplitude(np.eye(2), big, big)
 
 
+# --- bunched closed form -------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_column_permanent_is_the_closed_form(n):
+    rng = np.random.default_rng(RNG_SEED + n)
+    col = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = permanent(col[:, None], (n,))
+    assert got == pytest.approx(naive_permanent(np.repeat(col[:, None], n, axis=1)),
+                                rel=1e-14, abs=0)
+    assert got == math.factorial(n) * math.prod(col.tolist())
+
+
+def _bunched_pairs(n: int):
+    """(input, output, n, index of U) for every amplitude with a side bunched into one of
+    4 ports: <N e_j|S|n> = sqrt(N!/prod n_i!) prod_i U[j,i]^n_i, and <n|S|N e_j> the
+    same over U[:, j]."""
+    for j in range(4):
+        bunched = tuple(n if i == j else 0 for i in range(4))
+        for occ in enumerate_basis(4, n).states:
+            yield occ, bunched, occ, (j, slice(None))
+            yield bunched, occ, occ, (slice(None), j)
+
+
+def _output_glynn_amplitude(u, occ_in, occ_out):
+    """<out|S|in> by the Glynn sum counted on the output, as before the input side could
+    be counted; an output bunched into one port is split into two copies of that port,
+    so no closed form applies."""
+    ports = [j for j, k in enumerate(occ_out) if k]
+    counts = [occ_out[j] for j in ports]
+    if len(ports) == 1:
+        ports, counts = ports * 2, [counts[0] - 1, 1]
+    a = u[np.ix_(ports, np.repeat(np.arange(len(occ_in)), occ_in))].T
+    norm = math.prod(map(math.factorial, occ_in + occ_out))
+    return permanent(a, counts) / math.sqrt(norm)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_bunched_amplitudes_meet_the_closed_form(seed):
+    u = haar_unitary(4, np.random.default_rng(RNG_SEED + seed))
+    for n in range(1, PERMANENT_CAP + 1):
+        for occ_in, occ_out, occ, line in _bunched_pairs(n):
+            scale = math.sqrt(math.factorial(n) / math.prod(map(math.factorial, occ)))
+            closed = scale * np.prod(u[line] ** np.array(occ))
+            got = transition_amplitude(u, occ_in, occ_out)
+            assert abs(got - closed) <= 1e-15 * scale, (occ_in, occ_out)
+            if n > 1:
+                glynn = _output_glynn_amplitude(u, occ_in, occ_out)
+                assert abs(got - glynn) <= 1e-12, (occ_in, occ_out)
+
+
+def test_bunched_amplitudes_build_no_glynn_table(monkeypatch, operator_ii):
+    def no_table(counts):
+        raise AssertionError(f"Glynn table built for {counts}")
+    monkeypatch.setattr(evolve, "_glynn_table", no_table)
+    for n in (1, 2, 9, PERMANENT_CAP):
+        for occ_in, occ_out, _, _ in _bunched_pairs(n):
+            transition_amplitude(operator_ii, occ_in, occ_out)
+    _, state = state_from_spec("9,0,0,0")
+    assert evolve_state(operator_ii, state).norm() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(AssertionError, match="Glynn table built"):
+        transition_amplitude(operator_ii, (1, 1, 0, 0), (0, 1, 1, 0))
+
+
 # --- cached Glynn tables and port indices -------------------------------------
 
 def test_cached_tables_are_read_only(hadamard_splitter):
@@ -300,8 +363,9 @@ def test_table_cache_stays_small_at_16_photons(operator_ii, monkeypatch):
     monkeypatch.setattr(evolve, "_table_cache", {})
     _, state = state_from_spec("4,4,4,4")
     evolve_state(operator_ii, state)
-    # one table per partition of 16 into at most 4 parts, 0.65 MiB together
-    assert len(evolve._table_cache) == 64
+    # one table per partition of 16 into 2 to 4 parts, 0.65 MiB together; (16,)
+    # takes the closed form
+    assert len(evolve._table_cache) == 63
     assert evolve._table_bytes() < 2 ** 20
 
 

@@ -23,7 +23,7 @@ from noonforge import (
     sweep_inputs,
     unitarize,
 )
-from noonforge import noon
+from noonforge import evolve, noon
 from noonforge.noon import noon_components
 
 from oracles import apply_phase_shifts, fidelity_against, haar_unitary, ideal_noon_state
@@ -74,6 +74,46 @@ def test_selection_validation(pair_table):
         post_select(pair_table, [])
     with pytest.raises(SpecError):
         post_select(pair_table, [(3, 0, 0, 0)])
+
+
+@pytest.mark.parametrize("name", ["splitter_i", "splitter_ii"])
+def test_select_outputs_equals_post_select_of_the_table(name, request):
+    u = evolution_operator(unitarize(request.getfixturevalue(name)))
+    pair = state_from_spec("0,0,1,1")[1]
+    superposed = state_from_spec("0.6*|2,0,0,0> + 0.8@30*|0,1,1,0>")[1]
+    cases = [(pair, [(1, 1, 0, 0), (0, 0, 1, 1)]),
+             (pair, [(0, 0, 1, 1), (1, 1, 0, 0), (0, 0, 1, 1)]),
+             (pair, noon_components(pair.basis)),
+             (pair, pair.basis.states),
+             (state_from_spec("3,0,0,0")[1], [(1, 1, 1, 0), (0, 0, 0, 3)]),
+             (superposed, [(1, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])]
+    for state, kept in cases:
+        selected, probability = noon.select_outputs(u, state, kept)
+        expected, expected_probability = post_select(evolve_state(u, state), kept)
+        assert probability == expected_probability
+        assert selected.basis is expected.basis
+        assert selected.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+
+def test_select_outputs_computes_only_the_kept_amplitudes(monkeypatch, operator_ii):
+    permanent, calls = evolve.permanent, []
+    monkeypatch.setattr(evolve, "permanent",
+                        lambda *args: calls.append(1) or permanent(*args))
+    noon.select_outputs(operator_ii, state_from_spec("0,0,1,1")[1],
+                        [(1, 1, 0, 0), (0, 0, 1, 1)])
+    assert len(calls) == 2
+
+
+def test_select_outputs_checks_like_post_select(operator_ii):
+    state = state_from_spec("0,0,1,1")[1]
+    with pytest.raises(SpecError, match="post-selection must keep at least one state"):
+        noon.select_outputs(operator_ii, state, [])
+    with pytest.raises(SpecError, match=r"selected state \(3, 0, 0, 0\) is not in the"):
+        noon.select_outputs(operator_ii, state, [(3, 0, 0, 0)])
+    with pytest.raises(ZeroProbabilityError, match="post-selection kept zero probability"):
+        noon.select_outputs(np.eye(4), state, [(2, 0, 0, 0), (0, 2, 0, 0)])
+    with pytest.raises(NotUnitaryError):
+        noon.select_outputs(2 * np.eye(4), state, [(1, 1, 0, 0)])
 
 
 # --- extract_noon ---------------------------------------------------------------
