@@ -41,12 +41,12 @@ def loads(text: str):
     """Parse standard JSON with floats preserved as Decimal.
 
     Python's json also reads the tokens NaN, Infinity and -Infinity, which
-    dumps would then write back out as text no JSON reader accepts. Nesting
-    deeper than the recursion limit is invalid too, not a RecursionError.
+    dumps would then write back out as text no JSON reader accepts. Nesting past
+    the recursion limit, or an integer past the int digit limit, is invalid too.
     """
     try:
         return json.loads(text, parse_float=Decimal, parse_constant=_reject_constant)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # json.JSONDecodeError is a ValueError
         raise MatrixFileError(f"invalid JSON: {exc}") from exc
 
 

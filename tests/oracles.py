@@ -94,6 +94,26 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def bunched_amplitudes(unitary, occupations) -> np.ndarray:
+    """<N e_j|S|n> for every port j by the closed form sqrt(N! / prod n_i!) prod_i U[j,i]^n_i."""
+    n = np.asarray(occupations, dtype=int)
+    scale = math.sqrt(math.factorial(int(n.sum())) / math.prod(map(math.factorial, n.tolist())))
+    return scale * np.prod(np.asarray(unitary) ** n, axis=1)
+
+
+def fourier_unitary(modes: int) -> np.ndarray:
+    """The m-port Fourier matrix, F[j, k] = exp(2 pi i j k / m) / sqrt(m)."""
+    ports = np.arange(modes)
+    return np.exp(2j * np.pi * np.outer(ports, ports) / modes) / math.sqrt(modes)
+
+
+def fourier_hadamard_unitary() -> np.ndarray:
+    """F (H + H): the 4-port Fourier matrix after a real 50/50 splitter on each
+    port pair, H = [[1, 1], [1, -1]] / sqrt(2)."""
+    hadamards = np.kron(np.eye(2), [[1, 1], [1, -1]]) / np.sqrt(2)
+    return fourier_unitary(4) @ hadamards
+
+
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * 0.5 * (z + z.conj().T)

@@ -1,15 +1,24 @@
 import argparse
+import contextlib
+import io
 import json
+import os
 import re
+import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noonforge import MatrixFile, cli, evolve, fock, noon, reference, save_matrix, serialize
 from noonforge.cli import main
 from noonforge.fock import state_from_spec
+
+from oracles import bunched_amplitudes, fourier_hadamard_unitary, fourier_unitary
 
 SPLITTER_II_PATH = str(reference.data_path("splitter_ii.json"))
 # reproduce --json stdout and exit code on paths where claims fail, error claims included
@@ -42,10 +51,8 @@ def fourier4(tmp_path):
     # Through the 4-port Fourier matrix, 25 of the 35 outputs of 1,1,1,1 are
     # suppressed (Tichy et al., PRL 104, 220405, 2010); their amplitudes are
     # rounding noise of at most 1e-16, whose phase would be arbitrary.
-    ports = np.arange(4)
-    fourier = np.exp(2j * np.pi * np.outer(ports, ports) / 4) / 2
     path = tmp_path / "fourier4.json"
-    save_matrix(path, MatrixFile.from_array(fourier, "4-port Fourier"))
+    save_matrix(path, MatrixFile.from_array(fourier_unitary(4), "4-port Fourier"))
     return str(path)
 
 
@@ -53,11 +60,8 @@ def fourier4(tmp_path):
 def fourier_hadamard4(tmp_path):
     # F (H + H), stored as its transpose: a file holds input port i in row i.
     # Each of 0,0,1,1's bunched outputs 2,0,0,0 and 0,0,2,0 is rounding noise.
-    ports = np.arange(4)
-    fourier = np.exp(2j * np.pi * np.outer(ports, ports) / 4) / 2
-    hadamards = np.kron(np.eye(2), [[1, 1], [1, -1]]) / np.sqrt(2)
     path = tmp_path / "fourier_hadamard4.json"
-    save_matrix(path, MatrixFile.from_array((fourier @ hadamards).T, "F (H + H)"))
+    save_matrix(path, MatrixFile.from_array(fourier_hadamard_unitary().T, "F (H + H)"))
     return str(path)
 
 
@@ -202,6 +206,31 @@ def test_negligible_bunched_components_print_shifter_zero(run, fourier_hadamard4
     code, output = run("noon", "--matrix", fourier_hadamard4, "--input", "0,0,1,1")
     assert code == 0
     assert "  |0,0,2,0>  mag 0.0000  normalized 0.0000  shifter    +0 deg\n" in output
+
+
+@pytest.mark.parametrize("spec, bunched_rows", [("4,4,4,4", 4), ("16,0,0,0", 969)])
+def test_evolve_json_at_the_permanent_cap_meets_the_closed_form(run, operator_ii, spec,
+                                                                bunched_rows):
+    code, output = run("evolve", "--json", "--matrix", SPLITTER_II_PATH, "--input", spec)
+    assert code == 0
+    rows = json.loads(output)["amplitudes"]
+    assert len(rows) == 969
+    n = np.array(spec.split(","), dtype=int)
+    checked = 0
+    for row in rows:
+        m = np.array(row["state"].split(","), dtype=int)
+        # per(A) = per(A^T): an input bunched into one port is an output seen backwards
+        u, counted, bunched = (
+            (operator_ii.T, m, n) if np.count_nonzero(n) == 1 else (operator_ii, n, m))
+        if np.count_nonzero(bunched) != 1:
+            continue
+        closed = bunched_amplitudes(u, counted)[np.flatnonzero(bunched)[0]]
+        # the JSON carries 6 decimals of magnitude and phase
+        assert abs(row["mag"] - abs(closed)) <= 5e-7 + 1e-12, (row, closed)
+        turn = (row["phase_deg"] - np.angle(closed, deg=True) + 180) % 360 - 180
+        assert abs(turn) <= 5e-7 + 1e-9, (row, closed)
+        checked += 1
+    assert checked == bunched_rows
 
 
 def test_evolve_superposition_input_round_trips(run):
@@ -411,11 +440,19 @@ def test_sweep_four_photons_ranks_spread_first(run):
     assert first_row.startswith("1,1,1,1")
 
 
-def test_sweep_eight_photons_row_count(run):
+def test_sweep_eight_photons_row_count(run, operator_ii):
     code, output = run("sweep", "--matrix", SPLITTER_II_PATH, "--photons", "8",
                        "--json")
     assert code == 0
-    assert len(serialize.loads(output)["rows"]) == 165
+    rows = json.loads(output)["rows"]
+    assert len(rows) == 165
+    for row in rows:
+        mags = np.abs(bunched_amplitudes(operator_ii, row["input"].split(",")))
+        success = float(np.sum(mags ** 2))
+        fidelity = float(np.sum(mags)) ** 2 / (4 * success)
+        # the JSON carries 4 decimals
+        assert abs(row["success_probability"] - success) <= 5e-5 + 1e-12, (row, success)
+        assert abs(row["fidelity"] - fidelity) <= 5e-5 + 1e-12, (row, fidelity)
 
 
 # --- reproduce ---------------------------------------------------------------------
@@ -474,6 +511,16 @@ def test_undecodable_matrix_file_is_input_error(tmp_path, capsys):
 def test_matrix_file_nested_past_the_recursion_limit_is_input_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text('{"dim": 2, "label": "deep", "entries": ' + "[" * 3000 + "]" * 3000 + "}")
+    assert main(["evolve", "--matrix", str(path), "--input", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("noonforge: input error:")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_matrix_file_integer_past_the_digit_limit_is_input_error(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"dim": ' + "1" * 5000 + ', "label": "long", "entries": []}')
     assert main(["evolve", "--matrix", str(path), "--input", "1,1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -563,3 +610,109 @@ def test_help_and_usage_match_golden(name, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err, exc.value.code) == (
         golden["stdout"], golden["stderr"], golden["code"])
+
+
+# --- exit-code contract -----------------------------------------------------------
+
+_KETS = ["1,1,1,1", "0,0,1,1", "1,1,0,0", "2,0,0,0", "0,0,0,0", "1,1", "1,1,1", "16,0,0,0",
+         "17,0,0,0", "9,8,0,0", "1,-1,0,0", "1.5,0,0,0", "a,0,0,0", "1,,0,0",
+         "1" * 5000 + ",0,0,0"]
+_COEFFICIENTS = ["", "0.6*", "1@30*", "-1@-90*", "0*", "1e400*", "1" + "0" * 400 + "*",
+                 "0." + "0" * 400 + "1*", "*", "1@*"]
+_SPECS = st.one_of(
+    st.sampled_from(["1,1,1,1", "0,0,1,1", "2,0,0,0", "1,1"]),  # so that some runs exit 0
+    st.sampled_from(_KETS + ["", " ", "|", "|1,1,0,0", "+", ";"]),
+    st.lists(st.builds("{}|{}>".format, st.sampled_from(_COEFFICIENTS), st.sampled_from(_KETS)),
+             min_size=1, max_size=3).map(" + ".join),
+    st.text("0123456789,|<>*@+-.e ;", max_size=12),
+)
+# JSON leaves a matrix file may hold: wrong types, bool, huge and tiny decimals, deep nesting
+_LEAVES = ["null", "true", "false", "0", "1", "2", "4", "-1", "0.5", "4.0", '"4"', '"x"', "[]",
+           "{}", "1e999", "-1e999", "1e-999", "1" + "0" * 400, "1" * 5000, "NaN", "Infinity",
+           "[" * 3000 + "]" * 3000]
+_KEYS = ["dim", "label", "entries", "meta", "mag", "phase_deg"]
+_JSON = st.recursive(
+    st.sampled_from(_LEAVES),
+    lambda inner: (
+        st.lists(inner, max_size=4).map(lambda items: "[" + ", ".join(items) + "]")
+        | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4).map(
+            lambda d: "{" + ", ".join(f'"{k}": {v}' for k, v in d.items()) + "}")),
+    max_leaves=12)
+_ENTRY = st.sampled_from([f'{{"mag": 0.5, "phase_deg": {p}}}' for p in (0, 90, -180, 30)])
+_BAD_ENTRY = st.builds('{{"mag": {}, "phase_deg": {}}}'.format,
+                       st.sampled_from(["0.5", "-0.5", "1e999", "1e-999", "1" * 5000]),
+                       st.sampled_from(["0", "1e999", "1" + "0" * 400])) | _JSON
+
+
+@st.composite
+def _matrix_doc(draw):
+    kind = draw(st.sampled_from(["json", "grid", "zeros", "identity"]))
+    if kind == "json":
+        return draw(_JSON)
+    dim = draw(st.sampled_from([2, 4]))
+    dim_token = draw(st.sampled_from([str(dim)] * 4 + ["true", f"{dim}.0", f'"{dim}"', "1" * 5000]))
+    if kind == "grid":
+        entries = draw(st.lists(_ENTRY, min_size=dim * dim, max_size=dim * dim))
+        if draw(st.booleans()):  # one entry wrong or missing
+            entries[draw(st.integers(0, dim * dim - 1))] = draw(_BAD_ENTRY | st.none())
+        entries = [entry for entry in entries if entry is not None]
+    else:
+        entries = [f'{{"mag": {int(kind == "identity" and i % (dim + 1) == 0)}, "phase_deg": 0}}'
+                   for i in range(dim * dim)]
+    label = draw(st.sampled_from(['"m"', '"m"', "null", "[]"]))
+    return f'{{"dim": {dim_token}, "label": {label}, "entries": [{", ".join(entries)}]}}'
+
+
+# the file a --matrix or --out names; {root} is a fresh directory
+_MATRICES = st.sampled_from([SPLITTER_II_PATH] * 2 + ["{root}/doc.json"] * 4 + [
+    "{root}/absent.json", "{root}", "{root}/absent/m.json"])
+_OUTS = st.sampled_from(["{root}/out.json", "{root}", "{root}/absent/out.json"])
+_PHOTONS = st.sampled_from(["0", "1", "2", "4", "16", "17", "-1", "200", "1" * 5000, "1.5", "x"])
+_TOLS = st.sampled_from(["0", "1", "1e-6", "1e300", "5e307", "1e308", "1e-400", "nan", "inf",
+                         "-1", "x"])
+
+
+@st.composite
+def _cli_case(draw):
+    command = draw(st.sampled_from(["unitarize", "evolve", "noon", "sweep", "reproduce"]))
+    argv = [command]
+    if command != "reproduce" or draw(st.booleans()):
+        argv += ["--matrix", draw(_MATRICES)]
+    if command == "unitarize":
+        argv += ["--out", draw(_OUTS)]
+    elif command in ("evolve", "noon"):
+        argv += ["--input", draw(_SPECS)]
+    elif command == "sweep":
+        argv += ["--photons", draw(_PHOTONS)]
+    elif draw(st.booleans()):
+        argv += ["--tol", draw(_TOLS)]
+    if command == "noon" and draw(st.booleans()):
+        argv += ["--select", draw(st.lists(_SPECS, min_size=1, max_size=3).map(";".join))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv, draw(_matrix_doc())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=_cli_case())
+def test_every_argv_keeps_the_exit_code_contract(case):
+    """Exit 0, 2 or 3 (1 only from reproduce), no traceback and no warning, and
+    one `noonforge:` line for each exit 2 or 3 that argparse did not raise.
+    A basis cap of 50 states keeps each run to at most 4 photons over 4 ports."""
+    argv, doc = case
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as root, \
+            mock.patch.dict(os.environ, {fock.CAP_ENV_VAR: "50"}), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Path(root, "doc.json").write_text(doc)
+        argv = [arg.replace("{root}", root) for arg in argv]
+        try:
+            code, by_argparse = main(argv), False
+        except SystemExit as exc:
+            code, by_argparse = exc.code, True
+    assert code in (0, 2, 3) or (code == 1 and argv[0] == "reproduce"), (code, argv)
+    if code in (2, 3) and not by_argparse:
+        lines = stderr.getvalue().splitlines()
+        assert sum(line.startswith("noonforge: ") for line in lines) == 1, lines

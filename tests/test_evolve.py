@@ -36,8 +36,8 @@ from noonforge import evolve, fock
 from noonforge.evolve import PERMANENT_CAP
 from noonforge.unitary import HERMITIAN_TOL, max_unitarity_defect
 
-from oracles import (haar_unitary, loop_fock_hamiltonian, naive_permanent, random_fock_input,
-                     random_hermitian)
+from oracles import (bunched_amplitudes, fourier_unitary, haar_unitary, loop_fock_hamiltonian,
+                     naive_permanent, random_fock_input, random_hermitian)
 
 RNG_SEED = 424242
 
@@ -496,11 +496,10 @@ def test_fourier_multiport_suppression_law(modes, k):
     # the Fourier matrix, multiplies the output s by w^(sum_j j s_j): every
     # output with sum_j j s_j != 0 mod m is suppressed (Tichy et al., PRL 104,
     # 220405, 2010).
-    ports = np.arange(modes)
-    fourier = np.exp(2j * np.pi * np.outer(ports, ports) / modes) / math.sqrt(modes)
     basis = enumerate_basis(modes, modes * k)
-    table = evolve_state(fourier, QuantumState.from_occupations(basis, (k,) * modes))
-    suppressed = basis.occupations @ ports % modes != 0
+    table = evolve_state(fourier_unitary(modes),
+                         QuantumState.from_occupations(basis, (k,) * modes))
+    suppressed = basis.occupations @ np.arange(modes) % modes != 0
     assert suppressed.any()
     assert np.max(np.abs(table.amplitudes[suppressed])) <= 1e-12
     assert abs(np.linalg.norm(table.amplitudes[~suppressed]) - 1.0) <= 1e-12
@@ -630,10 +629,11 @@ def test_coupling_must_be_hermitian():
 
 def test_methods_agree_for_bundled_splitter(operator_ii):
     a = effective_hamiltonian(operator_ii)
-    _, state = state_from_spec("0,0,1,1")
-    by_permanent = evolve_state(operator_ii, state)
-    by_hamiltonian = evolve_state_hamiltonian(a, state)
-    assert np.max(np.abs(by_permanent.amplitudes - by_hamiltonian.amplitudes)) <= 1e-8
+    for spec in ("0,0,1,1", "2,2,2,2"):  # 10 and 165 amplitudes
+        _, state = state_from_spec(spec)
+        by_permanent = evolve_state(operator_ii, state)
+        by_hamiltonian = evolve_state_hamiltonian(a, state)
+        assert np.max(np.abs(by_permanent.amplitudes - by_hamiltonian.amplitudes)) <= 1e-10
 
 
 def _coupling_with_zeros(modes, rng, scale=1.0):
@@ -707,16 +707,19 @@ def test_identity_coupling_takes_one_phase_on_2300_states():
 
 @pytest.mark.parametrize("spec,dim", [("8,8,8,8", 6545), ("10,10,10,10", 12341)])
 def test_route_above_2048_states_meets_the_bunched_closed_form(operator_ii, spec, dim):
-    # <N e_j|S|n> = sqrt(N! / prod n_i!) prod_i U[j,i]^n_i
     _, state = state_from_spec(spec)
     n = np.array(spec.split(","), dtype=int)
     total = int(n.sum())
     assert len(state.basis) == dim
-    out = evolve_state_hamiltonian(effective_hamiltonian(operator_ii), state)
+    generator = effective_hamiltonian(operator_ii)
+    out = evolve_state_hamiltonian(generator, state)
     assert abs(out.norm() - 1.0) <= 1e-12
-    scale = math.sqrt(math.factorial(total) / math.prod(map(math.factorial, n)))
-    for j in range(4):
-        closed = scale * np.prod(operator_ii[j] ** n)
+    # a second run on the one shared basis reuses its ladder and gives the same bits
+    basis, same = state_from_spec(spec)
+    assert basis is state.basis
+    twice = evolve_state_hamiltonian(generator, same).amplitudes
+    assert twice.tobytes() == out.amplitudes.tobytes()
+    for j, closed in enumerate(bunched_amplitudes(operator_ii, n)):
         bunched = out.amplitude(tuple(total if i == j else 0 for i in range(4)))
         assert abs(bunched - closed) <= 1e-12
 

@@ -26,7 +26,8 @@ from noonforge import (
 from noonforge import evolve, noon
 from noonforge.noon import noon_components
 
-from oracles import apply_phase_shifts, fidelity_against, haar_unitary, ideal_noon_state
+from oracles import (apply_phase_shifts, fidelity_against, fourier_hadamard_unitary,
+                     haar_unitary, ideal_noon_state)
 
 RNG_SEED = 77
 
@@ -152,10 +153,7 @@ def test_report_invariants(pair_table):
 def test_negligible_bunched_components_get_phase_zero():
     # F (H + H) sends 2,1,0,1 to 0,0,4,0 with an amplitude of 3e-33, rounding
     # noise, and to 0,4,0,0 and 0,0,0,4 with real negative amplitudes
-    ports = np.arange(4)
-    fourier = np.exp(2j * np.pi * np.outer(ports, ports) / 4) / 2
-    hadamards = np.kron(np.eye(2), [[1, 1], [1, -1]]) / np.sqrt(2)
-    report = noon_report(fourier @ hadamards, state_from_spec("2,1,0,1")[1])
+    report = noon_report(fourier_hadamard_unitary(), state_from_spec("2,1,0,1")[1])
     assert [abs(c) <= 1e-12 for c in report.raw_amplitudes] == [True, False, True, False]
     assert report.optimal_phases_deg == (0.0, -45.0, 0.0, -45.0)
 
