@@ -121,10 +121,13 @@ def permanent(matrix, counts=None) -> complex:
     """
     if counts is None:
         a = require_square(matrix).T
-        counts = (1,) * a.shape[0]
+        key = counts = (1,) * a.shape[0]
     else:
         a = np.asarray(matrix, dtype=complex)
-        counts = _occupations(tuple(counts), "column counts")
+        key = counts
+        if type(counts) is not _Counts:
+            counts = _occupations(tuple(counts), "column counts")
+            key = tuple(sorted(counts, reverse=True))
         if a.shape != (sum(counts), len(counts)):
             raise ShapeError(f"expected a ({sum(counts)}, {len(counts)}) matrix for "
                              f"column counts {counts}, got shape {a.shape}")
@@ -134,7 +137,6 @@ def permanent(matrix, counts=None) -> complex:
         return 1 + 0j
     if len(counts) == 1:
         return math.factorial(n) * math.prod(a.ravel().tolist())
-    key = tuple(sorted(counts, reverse=True))
     if key != counts:
         a = a[:, sorted(range(len(counts)), key=counts.__getitem__, reverse=True)]
     coeffs, weights = _glynn_table(key)
@@ -143,14 +145,22 @@ def permanent(matrix, counts=None) -> complex:
     return complex(np.dot((a @ coeffs).prod(axis=0), weights))
 
 
+class _Counts(tuple):
+    """Column counts that `_new_ports` checked and sorted descending; `permanent`
+    takes them as they are."""
+
+    __slots__ = ()
+
+
 class _Ports(NamedTuple):
     """The ports of one occupation tuple, as `transition_amplitude` indexes them."""
 
     photons: int
     repeated: np.ndarray  # port i repeated occ[i] times
     occupied: np.ndarray  # ports with occ[i] > 0, most photons first
-    counts: tuple[int, ...]  # occ[i] of each occupied port, in that order
+    counts: _Counts  # occ[i] of each occupied port, in that order
     norm: int  # prod occ[i]!
+    occ: tuple[int, ...]  # the checked tuple this entry was built from
 
 
 # Most occupation tuples _ports keeps; every basis of 4 modes up to
@@ -168,20 +178,21 @@ def _new_ports(occ: tuple[int, ...]) -> _Ports:
     repeated = np.repeat(np.arange(len(occ)), occ)
     repeated.flags.writeable = occupied.flags.writeable = False
     entry = _port_cache[occ] = _Ports(sum(occ), repeated, occupied,
-                                      tuple(occ[i] for i in occupied),
-                                      math.prod(math.factorial(k) for k in occ))
+                                      _Counts(occ[i] for i in occupied),
+                                      math.prod(math.factorial(k) for k in occ), occ)
     return entry
 
 
 def _ports(occ, modes: int, role: str) -> _Ports:
     """The cached _Ports of `occ`, checked as occupations of `modes` modes.
 
-    A hit skips the checks only for a tuple of plain ints: 1.0 and True
-    equal 1 and would find its entry.
+    A hit skips the checks when `occ` is the very tuple its entry was built
+    from, and skips all but a scan for plain ints when it is an equal tuple:
+    1.0, True and numpy ints equal 1 and would find the entry too.
     """
     occ = tuple(occ)
     entry = _port_cache.get(occ)
-    if entry is None or not all(type(n) is int for n in occ):
+    if entry is None or entry.occ is not occ and not all(type(n) is int for n in occ):
         occ = _occupations(occ, f"{role} occupations")
     if len(occ) != modes:
         raise ShapeError(f"{role} state lists {len(occ)} modes, matrix has {modes}")

@@ -247,7 +247,7 @@ def loads_matrix(text: str) -> MatrixFile:
         raw_entries = doc["entries"]
     except KeyError as exc:
         raise MatrixFileError(f"matrix file missing field {exc}") from None
-    if not isinstance(dim, int):
+    if isinstance(dim, bool) or not isinstance(dim, int):
         raise MatrixFileError(f"dim must be an integer, got {dim!r}")
     if not isinstance(raw_entries, list):
         raise MatrixFileError("entries must be a list")

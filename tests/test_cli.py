@@ -508,6 +508,16 @@ def test_undecodable_matrix_file_is_input_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("noonforge: input error:")
 
 
+def test_boolean_dim_is_not_an_integer(tmp_path, capsys):
+    # bool is an int subclass; true must not pass as a dimension of 1
+    path = tmp_path / "bool_dim.json"
+    path.write_text('{"dim": true, "label": "m", "entries": [{"mag": 1, "phase_deg": 0}]}')
+    assert main(["evolve", "--matrix", str(path), "--input", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"noonforge: input error: {path}: dim must be an integer, got True\n"
+
+
 def test_matrix_file_nested_past_the_recursion_limit_is_input_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text('{"dim": 2, "label": "deep", "entries": ' + "[" * 3000 + "]" * 3000 + "}")

@@ -244,6 +244,49 @@ def test_numpy_integer_occupations_accepted(hadamard_splitter):
     assert amp == pytest.approx(1 / math.sqrt(2))
 
 
+def test_cached_ports_still_check_equal_tuples(hadamard_splitter):
+    # 1.0, True and np.int64(1) equal 1, so these tuples find the cached entries
+    plain = transition_amplitude(hadamard_splitter, (1, 1), (2, 0))
+    transition_amplitude(hadamard_splitter, (2, 0), (1, 1))
+    for bad in [(1.0, 1.0), (True, True)]:
+        for role, pair in [("input", (bad, (2, 0))), ("output", ((2, 0), bad))]:
+            with pytest.raises(ShapeError, match=f"{role} occupations must be integers"):
+                transition_amplitude(hadamard_splitter, *pair)
+    wide = transition_amplitude(hadamard_splitter, (np.int64(1), np.int64(1)), (2, 0))
+    assert wide == plain and repr(wide) == repr(plain)
+
+
+def test_cached_amplitude_checks_its_occupations_once(monkeypatch):
+    u = haar_unitary(3, np.random.default_rng(RNG_SEED))
+    expected = [transition_amplitude(u, (1, 1, 1), occ) for occ in [(2, 1, 0), (0, 0, 3)]]
+    built_from = [evolve._port_cache[occ].occ for occ in [(1, 1, 1), (2, 1, 0), (0, 0, 3)]]
+
+    def no_check(occ, role):
+        raise AssertionError(f"{role} checked again")
+    monkeypatch.setattr(evolve, "_occupations", no_check)
+    got = [transition_amplitude(u, built_from[0], occ) for occ in built_from[1:]]
+    assert got == expected and repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize("used", [False, True], ids=["fresh", "after-transition-amplitude"])
+def test_permanent_checks_plain_counts(used):
+    u = haar_unitary(3, np.random.default_rng(RNG_SEED))
+    a = u[:2].T.copy()  # (3, 2): columns repeated (2, 1) times
+    if used:  # its counts (2, 1) reach permanent already checked
+        transition_amplitude(u, (1, 1, 1), (2, 1, 0))
+    expected = permanent(a, (2, 1))
+    assert abs(expected - naive_permanent(a[:, [0, 0, 1]])) <= 1e-14
+    for counts in [[2, 1], (np.int64(2), np.int64(1)), np.array([2, 1])]:
+        got = permanent(a, counts)
+        assert got == expected and repr(got) == repr(expected)
+    ascending = permanent(a[:, ::-1], (1, 2))
+    assert ascending == expected and repr(ascending) == repr(expected)
+    with pytest.raises(ShapeError, match="column counts must be integers"):
+        permanent(a, (2.0, 1.0))
+    with pytest.raises(ShapeError, match="column counts must be non-negative"):
+        permanent(np.ones((3, 3)), (3, 1, -1))
+
+
 def test_photon_mismatch_rejected(hadamard_splitter):
     with pytest.raises(ShapeError):
         transition_amplitude(hadamard_splitter, (1, 1), (1, 0))
