@@ -8,10 +8,9 @@ s_1 >= s_2 >= ... photons in its occupied ports costs
 Chin & Huh 2018, Sci. Rep. 8:6101). The counted side is the output, or the
 input where only the input is bunched into one port; a bunched side takes the
 closed form N! prod_i a_i of a one-column permanent and sums no terms. The
-terms' tables are cached per sorted occupations and hold at most
-TABLE_CACHE_BYTES together. The cross-check
-propagates the state by a Chebyshev series on the second-quantized
-generator's exact spectral interval [n lambda_min(A), n lambda_max(A)].
+terms' tables and each occupation tuple's ports sit in fock.BoundedCache
+instances. The cross-check propagates the state by a Chebyshev series on the
+second-quantized generator's exact spectral interval [n lambda_min(A), n lambda_max(A)].
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, InputError, NotHermitianError, ShapeError
-from .fock import (FockBasis, FockState, QuantumState, amplitude_rows, rank_descending,
-                   state_to_spec)
+from .fock import (CACHE_BYTES, BoundedCache, FockBasis, FockState, QuantumState,
+                   amplitude_rows, rank_descending, state_to_spec)
 from .unitary import HERMITIAN_TOL, require_hermitian, require_square, require_unitary
 
 PERMANENT_CAP = 16
@@ -40,10 +39,8 @@ HAMILTONIAN_WORK_CAP = 2 ** 30
 CHEBYSHEV_CUTOFF = 1e-15
 
 
-# Most bytes the Glynn tables may hold together: the largest table, all-ones
-# at PERMANENT_CAP columns, holds 8.5 MiB. A full cache drops its oldest.
-TABLE_CACHE_BYTES = 2 ** 25
-_table_cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+# Glynn tables by bytes; the largest, all-ones at PERMANENT_CAP columns, is 8.5 MiB.
+_table_cache = BoundedCache(CACHE_BYTES)
 
 
 def _glynn_table(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -71,14 +68,7 @@ def _glynn_table(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     coeffs = (np.array(counts)[:, None] - 2 * flips).astype(complex)
     weights = (weights / 2 ** (sum(counts) - 1)).astype(complex)
     coeffs.flags.writeable = weights.flags.writeable = False
-    while _table_cache and _table_bytes() + coeffs.nbytes + weights.nbytes > TABLE_CACHE_BYTES:
-        del _table_cache[next(iter(_table_cache))]
-    entry = _table_cache[counts] = coeffs, weights
-    return entry
-
-
-def _table_bytes() -> int:
-    return sum(c.nbytes + w.nbytes for c, w in _table_cache.values())
+    return _table_cache.admit(counts, (coeffs, weights), coeffs.nbytes + weights.nbytes)
 
 
 def require_permanent_size(n: int) -> None:
@@ -115,7 +105,7 @@ def permanent(matrix, counts=None) -> complex:
     on Python complexes, which is cheaper than the (n//2 + 1)-term sum and
     exact to a few ulps. The tables are cached per descending counts, so one
     per partition of n into two parts or more at most, and hold at most
-    TABLE_CACHE_BYTES together. The all-ones table at n = PERMANENT_CAP = 16
+    fock.CACHE_BYTES together. The all-ones table at n = PERMANENT_CAP = 16
     holds 8.5 MiB; the tables of every partition of 16 into two to four
     parts, all a 4-mode amplitude of 16 photons reaches, hold 0.65 MiB.
     """
@@ -163,24 +153,21 @@ class _Ports(NamedTuple):
     occ: tuple[int, ...]  # the checked tuple this entry was built from
 
 
-# Most occupation tuples _ports keeps; every basis of 4 modes up to
-# PERMANENT_CAP photons fits. A full cache drops its oldest entry.
+# Most occupation tuples _ports keeps, each of size 1; every basis of 4 modes
+# up to PERMANENT_CAP photons fits.
 PORT_CACHE_SIZE = 4096
-_port_cache: dict[tuple[int, ...], _Ports] = {}
+_port_cache = BoundedCache(PORT_CACHE_SIZE)
 
 
 def _new_ports(occ: tuple[int, ...]) -> _Ports:
     """The _Ports of checked occupations, cached."""
-    if len(_port_cache) >= PORT_CACHE_SIZE:
-        del _port_cache[next(iter(_port_cache))]
     occupied = np.array(sorted((i for i, k in enumerate(occ) if k), key=lambda i: -occ[i]),
                         dtype=int)
     repeated = np.repeat(np.arange(len(occ)), occ)
     repeated.flags.writeable = occupied.flags.writeable = False
-    entry = _port_cache[occ] = _Ports(sum(occ), repeated, occupied,
-                                      _Counts(occ[i] for i in occupied),
-                                      math.prod(math.factorial(k) for k in occ), occ)
-    return entry
+    return _port_cache.admit(occ, _Ports(sum(occ), repeated, occupied,
+                                         _Counts(occ[i] for i in occupied),
+                                         math.prod(math.factorial(k) for k in occ), occ), 1)
 
 
 def _ports(occ, modes: int, role: str) -> _Ports:

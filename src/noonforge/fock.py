@@ -24,9 +24,8 @@ DEFAULT_STATE_CAP = 10_000_000
 CAP_ENV_VAR = "NOONFORGE_CAP"
 NEGLIGIBLE_AMPLITUDE = 1e-12
 # Most bytes the shared bases may hold together, each counted with every table
-# built from it (see _footprint): about 120,000 states of 4 modes. A full cache
-# drops its oldest basis; a basis larger than the bound is built and not kept.
-BASIS_CACHE_BYTES = 2 ** 25
+# built from it (see _footprint), and most bytes evolve's Glynn tables may hold.
+CACHE_BYTES = 2 ** 25
 
 _TERM_RE = re.compile(
     r"^\s*(?:(?P<amp>[+-]?\d+(?:\.\d+)?)(?:@(?P<phase>[+-]?\d+(?:\.\d+)?))?\s*\*\s*)?"
@@ -167,8 +166,37 @@ class FockBasis:
         return f"FockBasis(modes={self.modes}, photons={self.photons}, size={len(self)})"
 
 
-_basis_cache: dict[tuple[int, int], tuple[FockBasis, int]] = {}
-_basis_lock = threading.Lock()  # admission sums and evicts over the whole cache
+class BoundedCache(dict):
+    """A dict that `admit` fills, dropping its oldest entries while `total`, the
+    sum of their sizes, would pass `limit`; an entry alone over it is returned,
+    not kept. Reads take no lock; all admissions, from any thread, share one.
+    """
+
+    _lock = threading.Lock()
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit, self.total, self._sizes = limit, 0, {}
+
+    def admit(self, key, value, size: int):
+        """Hold `value` under `key` and return it, or return the value held there already."""
+        with self._lock:
+            if key in self or size > self.limit:
+                return self.get(key, value)
+            while self.total + size > self.limit:
+                self.total -= self._sizes.pop(oldest := next(iter(self)))
+                del self[oldest]
+            self[key], self._sizes[key] = value, size
+            self.total += size
+            return value
+
+    def clear(self) -> None:
+        with self._lock:
+            super().clear()
+            self.total, self._sizes = 0, {}
+
+
+_basis_cache = BoundedCache(CACHE_BYTES)
 
 
 def _footprint(modes: int, photons: int, size: int) -> int:
@@ -190,33 +218,22 @@ def _footprint(modes: int, photons: int, size: int) -> int:
             + 16 * modes * fewer)
 
 
-def _basis_bytes() -> int:
-    return sum(footprint for _, footprint in _basis_cache.values())
-
-
 def enumerate_basis(modes: int, photons: int) -> FockBasis:
     """The complete n-photon, m-mode occupation basis, one shared instance per process.
 
     Bases are cached per (operator.index(modes), operator.index(photons)),
     so a float count is a TypeError and every table built from a basis
     (`states`, `labels`, `ladder`) is built once. A hit still checks the
-    basis against state_cap(). The cache holds at most BASIS_CACHE_BYTES
-    by each basis's footprint with every table built and drops its oldest
-    basis first; a basis over the bound is returned uncached.
+    basis against state_cap(). The cache holds at most CACHE_BYTES, each basis
+    counted by its footprint with every table built (see BoundedCache).
     """
     key = operator.index(modes), operator.index(photons)
-    entry = _basis_cache.get(key)
-    if entry is not None:
-        _require_within_cap(*key, len(entry[0]))
-        return entry[0]
+    basis = _basis_cache.get(key)
+    if basis is not None:
+        _require_within_cap(*key, len(basis))
+        return basis
     basis = FockBasis(*key)
-    footprint = _footprint(*key, len(basis))
-    if footprint <= BASIS_CACHE_BYTES:
-        with _basis_lock:
-            while _basis_cache and _basis_bytes() + footprint > BASIS_CACHE_BYTES:
-                del _basis_cache[next(iter(_basis_cache))]
-            _basis_cache[key] = basis, footprint
-    return basis
+    return _basis_cache.admit(key, basis, _footprint(*key, len(basis)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,17 +437,13 @@ def state_from_spec(spec: str) -> tuple[FockBasis, QuantumState]:
 
 def state_to_spec(state: QuantumState) -> str:
     """Render a state in the ket-spec grammar (single kets stay bare lists)."""
-    nonzero = [(i, a) for i, a in enumerate(state.amplitudes)
-               if abs(a) > NEGLIGIBLE_AMPLITUDE]
-    if len(nonzero) == 1 and abs(abs(nonzero[0][1]) - 1.0) <= NEGLIGIBLE_AMPLITUDE:
-        return state.basis.labels[nonzero[0][0]]
+    index = [i for i, a in enumerate(state.amplitudes) if abs(a) > NEGLIGIBLE_AMPLITUDE]
+    amps = state.amplitudes[index]
+    mags = list(map(abs, amps))
+    if len(index) == 1 and abs(mags[0] - 1.0) <= NEGLIGIBLE_AMPLITUDE:
+        return state.basis.labels[index[0]]
     parts = []
-    for i, amp in nonzero:
-        mag = abs(amp)
-        deg = math.degrees(math.atan2(amp.imag, amp.real))
-        ket = state.basis.labels[i]
-        if abs(deg) <= 1e-9:
-            parts.append(f"{mag:.6f}*|{ket}>")
-        else:
-            parts.append(f"{mag:.6f}@{deg:.2f}*|{ket}>")
+    for i, mag, deg in zip(index, mags, phases_deg(amps, mags).tolist()):
+        phase = "" if abs(deg) <= 1e-9 else f"@{deg:.2f}"
+        parts.append(f"{mag:.6f}{phase}*|{state.basis.labels[i]}>")
     return " + ".join(parts)

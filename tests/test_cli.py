@@ -245,6 +245,18 @@ def test_evolve_superposition_input_round_trips(run):
     assert np.allclose(echoed_state.amplitudes, state.amplitudes, rtol=0, atol=1e-15)
 
 
+def test_evolve_echoes_a_phase_of_minus_180_as_180(run):
+    # exp(-i pi) has an imaginary part of -1.2e-16, rounding noise: the echo
+    # takes the same printed-phase rule as the amplitude rows
+    echoed = []
+    for phase in ("-180", "180"):
+        code, output = run("evolve", "--json", "--matrix", SPLITTER_II_PATH,
+                           "--input", f"1*|1,0,0,0> + 1@{phase}*|0,1,0,0>")
+        assert code == 0
+        echoed.append(serialize.loads(output)["input"])
+    assert echoed[0] == echoed[1] == "0.707107*|1,0,0,0> + 0.707107@180.00*|0,1,0,0>"
+
+
 def test_evolve_wrong_mode_count(run):
     code, _ = run("evolve", "--matrix", SPLITTER_II_PATH, "--input", "0,0,1")
     assert code == 2

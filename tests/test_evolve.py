@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -366,7 +368,7 @@ def test_bunched_amplitudes_build_no_glynn_table(monkeypatch, operator_ii):
         transition_amplitude(operator_ii, (1, 1, 0, 0), (0, 1, 1, 0))
 
 
-# --- cached Glynn tables and port indices -------------------------------------
+# --- cached bases, Glynn tables and port indices ------------------------------
 
 def test_cached_tables_are_read_only(hadamard_splitter):
     transition_amplitude(hadamard_splitter, (2, 1), (1, 2))
@@ -403,23 +405,96 @@ def test_table_term_count(counts, terms):
 
 
 def test_table_cache_stays_small_at_16_photons(operator_ii, monkeypatch):
-    monkeypatch.setattr(evolve, "_table_cache", {})
+    monkeypatch.setattr(evolve, "_table_cache", fock.BoundedCache(fock.CACHE_BYTES))
     _, state = state_from_spec("4,4,4,4")
     evolve_state(operator_ii, state)
     # one table per partition of 16 into 2 to 4 parts, 0.65 MiB together; (16,)
     # takes the closed form
     assert len(evolve._table_cache) == 63
-    assert evolve._table_bytes() < 2 ** 20
+    held = sum(c.nbytes + w.nbytes for c, w in evolve._table_cache.values())
+    assert evolve._table_cache.total == held < 2 ** 20
 
 
-def test_table_cache_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(evolve, "_table_cache", {})
-    monkeypatch.setattr(evolve, "TABLE_CACHE_BYTES", 2 ** 16)
-    for n in range(1, 12):
-        permanent(np.eye(n))
-        assert evolve._table_bytes() <= 2 ** 16 or len(evolve._table_cache) == 1
-    assert list(evolve._table_cache) == [(1,) * 11]
-    assert permanent(np.eye(3)) == 1
+# Per cache: its module and name, a small limit, keys in admission order, the
+# call that admits one, the size it is admitted with, and a key over the limit.
+_CACHES = {
+    "basis": (fock, "_basis_cache", 300_000, [(m, n) for m in range(2, 6) for n in range(9)],
+              lambda key: enumerate_basis(*key),
+              lambda key, basis: fock._footprint(*key, len(basis)), (12, 5)),
+    "table": (evolve, "_table_cache", 2 ** 16,
+              [(1,) * n for n in range(1, 10)] + [(3, 2, 2), (4, 3, 1), (2, 2, 2, 2)],
+              evolve._glynn_table, lambda key, table: sum(t.nbytes for t in table), (1,) * 11),
+    "port": (evolve, "_port_cache", 7, list(enumerate_basis(4, 3)),
+             lambda occ: evolve._ports(occ, 4, "input"), lambda key, ports: 1, None),
+}
+
+
+@pytest.mark.parametrize("name", _CACHES)
+def test_cache_stays_within_its_bound(monkeypatch, name):
+    module, attr, limit, keys, admit, size_of, over = _CACHES[name]
+    cache = fock.BoundedCache(limit)
+    monkeypatch.setattr(module, attr, cache)
+    for key in keys:
+        assert size_of(key, admit(key)) <= limit
+        assert key in cache
+        assert cache.total == sum(size_of(*entry) for entry in cache.items()) <= limit
+    # the oldest went first: what is left is the newest keys, in order
+    assert list(cache) == keys[-len(cache):]
+    assert len(cache) < len(keys)
+    kept, total = dict(cache), cache.total
+    value = object()
+    assert cache.admit("over", value, limit + 1) is value
+    if over is not None:
+        first = admit(over)
+        assert size_of(over, first) > limit
+        assert admit(over) is not first
+    assert cache == kept and cache.total == total
+    admit(keys[0])  # evicted long ago: admitted again as the newest
+    assert list(cache)[-1] == keys[0]
+    assert cache.total == sum(size_of(*entry) for entry in cache.items()) <= limit
+
+
+def test_caches_fill_from_many_threads(monkeypatch):
+    u = haar_unitary(6, np.random.default_rng(RNG_SEED))
+    rng = np.random.default_rng(RNG_SEED + 1)
+    pairs = []
+    for n in range(2, 7):
+        states = enumerate_basis(6, n).states
+        pairs += [(states[i], states[j]) for i, j in rng.integers(len(states), size=(40, 2))]
+    expected = [transition_amplitude(u, *pair) for pair in pairs]
+    # emptied, with limits small enough that they keep evicting
+    for cache, limit in [(evolve._port_cache, 8), (evolve._table_cache, 4096)]:
+        cache.clear()
+        monkeypatch.setattr(cache, "limit", limit)
+    results, errors = [], []
+
+    def amplitudes(offset):
+        try:
+            got = [None] * len(pairs)
+            for i in [*range(offset, len(pairs)), *range(offset)]:
+                got[i] = transition_amplitude(u, *pairs[i])
+            results.append(got)
+        except Exception as exc:  # a thread cannot fail the test itself; asserted below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=amplitudes, args=(25 * k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 8
+    for got in results:
+        assert got == expected and repr(got) == repr(expected)
+    ports, tables = evolve._port_cache, evolve._table_cache
+    assert ports.total == len(ports) <= 8
+    assert tables.total == sum(c.nbytes + w.nbytes for c, w in tables.values()) <= 4096
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -448,8 +523,7 @@ def test_numpy_int_occupations_match_plain_ints_bit_for_bit(operator_ii):
 def test_port_cache_stays_within_its_bound(operator_ii, monkeypatch, bound):
     evolve._port_cache.clear()
     expected = sweep_inputs(operator_ii, 8)
-    monkeypatch.setattr(evolve, "PORT_CACHE_SIZE", bound)
-    evolve._port_cache.clear()
+    monkeypatch.setattr(evolve, "_port_cache", fock.BoundedCache(bound))
     assert sweep_inputs(operator_ii, 8) == expected
     assert 0 < len(evolve._port_cache) <= bound
 
@@ -560,18 +634,16 @@ def _haar_fock_case(draw):
 
 # A basis cache kept across the draws below, small enough that their bases
 # keep evicting each other.
-_SMALL_CACHE_BYTES = 64 * 1024
-_small_cache = {}
+_small_cache = fock.BoundedCache(64 * 1024)
 
 
 def _on_a_small_basis_cache(occ, *routes):
     """Each route's output amplitudes for the Fock input `occ`, bases from the small cache."""
-    with mock.patch.multiple(fock, BASIS_CACHE_BYTES=_SMALL_CACHE_BYTES,
-                             _basis_cache=_small_cache):
+    with mock.patch.object(fock, "_basis_cache", _small_cache):
         basis = enumerate_basis(len(occ), sum(occ))
         state = QuantumState.from_occupations(basis, occ)
         outputs = [route(state).amplitudes for route in routes]
-        assert fock._basis_bytes() <= _SMALL_CACHE_BYTES
+        assert _small_cache.total <= _small_cache.limit
     return outputs
 
 

