@@ -12,8 +12,11 @@ Scattering files are projected to the nearest unitary before any evolution.
 1 reproduction-claim failure, 2 input error, 3 numeric failure. The
 NOONFORGE_CAP environment variable overrides the basis-size cap.
 
-``main(argv)`` may be called any number of times in one process. It builds
-its argument parser on the first call and reuses it after that.
+Each subcommand's parser names its handler. ``main(argv)`` parses, opens the
+``--matrix`` file once and passes the namespace and that file to the handler,
+which computes and prints. ``main`` may be called any number of times in one
+process. It builds its argument parser on the first call and reuses it after
+that.
 """
 
 from __future__ import annotations
@@ -50,22 +53,21 @@ def _input_state(spec: str) -> QuantumState:
     return state_from_kets(kets)[1]
 
 
-def cmd_unitarize(matrix_path: str, out_path: str, json_output: bool = False) -> int:
-    mf = load_matrix(matrix_path)
+def cmd_unitarize(args: argparse.Namespace, mf: MatrixFile) -> int:
     m = mf.to_array()
     before = unitarity_defect(m)
     u = unitarize(m)
     after = unitarity_defect(u)
     deviation = float(np.max(np.abs(u - m)))
     result = MatrixFile.from_array(u, f"{mf.label} (unitarized)", mf.meta)
-    save_matrix(out_path, result)
-    if json_output:
+    save_matrix(args.out, result)
+    if args.json:
         payload = {
             "label": mf.label,
             "defect_before": serialize.sci(before),
             "defect_after": serialize.sci(after),
             "max_entry_deviation": serialize.sci(deviation),
-            "out": str(out_path),
+            "out": args.out,
         }
         print(serialize.dumps(payload), end="")
     else:
@@ -73,39 +75,37 @@ def cmd_unitarize(matrix_path: str, out_path: str, json_output: bool = False) ->
         print(f"unitarity defect before: {before:.6e}")
         print(f"unitarity defect after : {after:.6e}")
         print(f"max per-entry deviation: {deviation:.6e}")
-        print(f"wrote {out_path}")
+        print(f"wrote {args.out}")
     return 0
 
 
-def cmd_evolve(matrix_path: str, input_spec: str, json_output: bool = False) -> int:
-    mf = load_matrix(matrix_path)
-    state = _input_state(input_spec)
+def cmd_evolve(args: argparse.Namespace, mf: MatrixFile) -> int:
+    state = _input_state(args.input)
     table = evolve_state(operator_from_file(mf), state)
-    if json_output:
+    if args.json:
         print(serialize.dumps(table.to_payload()), end="")
     else:
-        print(f"matrix: {mf.label}   input: {input_spec.strip()}   "
+        print(f"matrix: {mf.label}   input: {args.input.strip()}   "
               f"({table.basis.modes} modes, {table.basis.photons} photons)")
         print("output components (descending magnitude):")
         _print_amplitude_rows(table.sorted_components())
     return 0
 
 
-def cmd_noon(matrix_path: str, input_spec: str, select: str | None = None,
-             json_output: bool = False) -> int:
-    mf = load_matrix(matrix_path)
-    state = _input_state(input_spec)
+def cmd_noon(args: argparse.Namespace, mf: MatrixFile) -> int:
+    state = _input_state(args.input)
     u = operator_from_file(mf)
+    input_spec = args.input.strip()
 
-    if select is not None:
+    if args.select is not None:
         kept = list(dict.fromkeys(
-            parse_occupations(part) for part in select.split(";") if part.strip()))
+            parse_occupations(part) for part in args.select.split(";") if part.strip()))
         selected, probability = select_outputs(u, state, kept)
         components = [(occ, a) for occ, a in zip(selected.basis.states, selected.amplitudes)
                       if abs(a) > NEGLIGIBLE_AMPLITUDE]
-        if json_output:
+        if args.json:
             payload = {
-                "input": input_spec.strip(),
+                "input": input_spec,
                 "selection": [format_occupations(occ) for occ in kept],
                 "probability": serialize.fixed(probability, 4),
                 "components": amplitude_rows([format_occupations(occ) for occ, _ in components],
@@ -113,19 +113,19 @@ def cmd_noon(matrix_path: str, input_spec: str, select: str | None = None,
             }
             print(serialize.dumps(payload), end="")
         else:
-            print(f"matrix: {mf.label}   input: {input_spec.strip()}")
+            print(f"matrix: {mf.label}   input: {input_spec}")
             print(f"post-selected probability: {probability:.4f}")
             print("renormalized components:")
             _print_amplitude_rows(components)
         return 0
 
     report = noon_report(u, state)
-    if json_output:
-        payload = {"input": input_spec.strip()}
+    if args.json:
+        payload = {"input": input_spec}
         payload.update(report.to_payload())
         print(serialize.dumps(payload), end="")
     else:
-        print(f"matrix: {mf.label}   input: {input_spec.strip()}")
+        print(f"matrix: {mf.label}   input: {input_spec}")
         print(f"photons: {report.photons}   modes: {report.modes}")
         print(f"success probability: {report.success_probability:.4f}")
         print(f"fidelity           : {report.fidelity:.4f}")
@@ -138,12 +138,11 @@ def cmd_noon(matrix_path: str, input_spec: str, select: str | None = None,
     return 0
 
 
-def cmd_sweep(matrix_path: str, photons: int, json_output: bool = False) -> int:
-    mf = load_matrix(matrix_path)
-    rows = sweep_inputs(operator_from_file(mf), photons)
-    if json_output:
+def cmd_sweep(args: argparse.Namespace, mf: MatrixFile) -> int:
+    rows = sweep_inputs(operator_from_file(mf), args.photons)
+    if args.json:
         payload = {
-            "photons": photons,
+            "photons": args.photons,
             "modes": mf.dim,
             "rows": [
                 {"input": format_occupations(occ),
@@ -154,7 +153,7 @@ def cmd_sweep(matrix_path: str, photons: int, json_output: bool = False) -> int:
         }
         print(serialize.dumps(payload), end="")
     else:
-        print(f"matrix: {mf.label}   {photons} photons over {mf.dim} modes   "
+        print(f"matrix: {mf.label}   {args.photons} photons over {mf.dim} modes   "
               f"({len(rows)} inputs)")
         print(f"{'input':<16} {'success':>8} {'fidelity':>9}")
         for occ, r in rows:
@@ -163,12 +162,10 @@ def cmd_sweep(matrix_path: str, photons: int, json_output: bool = False) -> int:
     return 0
 
 
-def cmd_reproduce(matrix_path: str | None = None, tol: float = 1.0,
-                  json_output: bool = False) -> int:
-    override = load_matrix(matrix_path) if matrix_path is not None else None
-    claims = reproduction_claims(override, tol_scale=tol)
+def cmd_reproduce(args: argparse.Namespace, override: MatrixFile | None) -> int:
+    claims = reproduction_claims(override, tol_scale=args.tol)
     passed = sum(c.passed for c in claims)
-    if json_output:
+    if args.json:
         payload = {
             "passed": passed == len(claims),
             "claims": [
@@ -180,7 +177,7 @@ def cmd_reproduce(matrix_path: str | None = None, tol: float = 1.0,
         print(serialize.dumps(payload), end="")
     else:
         print("reproduction of the bundled splitter results "
-              f"(tolerance scale {tol:g})")
+              f"(tolerance scale {args.tol:g})")
         for c in claims:
             tag = "PASS" if c.passed else "FAIL"
             print(f"[{tag}] {c.name}: {c.computed} (expected {c.expected})")
@@ -217,12 +214,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="input matrix file")
     p.add_argument("--out", required=True, help="output matrix file")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_unitarize)
 
     p = sub.add_parser("evolve", help="evolve a Fock state and print the "
                        "output superposition")
     p.add_argument("--matrix", required=True)
     p.add_argument("--input", required=True, help='ket spec, e.g. "0,0,1,1"')
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_evolve)
 
     p = sub.add_parser("noon", help="extract the bunched components "
                        "(or an arbitrary post-selection with --select)")
@@ -230,12 +229,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--select", help='semicolon-separated kets, e.g. "1,1,0,0;0,0,1,1"')
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_noon)
 
     p = sub.add_parser("sweep", help="rank every n-photon input by NOON "
                        "success probability")
     p.add_argument("--matrix", required=True)
     p.add_argument("--photons", required=True, type=int)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("reproduce", help="check every golden claim for the "
                        "bundled splitters")
@@ -245,6 +246,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="scale factor applied to every tolerance band "
                    "(finite, >= 0)")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_reproduce)
 
     return parser
 
@@ -252,17 +254,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "unitarize":
-            return cmd_unitarize(args.matrix, args.out, args.json)
-        if args.command == "evolve":
-            return cmd_evolve(args.matrix, args.input, args.json)
-        if args.command == "noon":
-            return cmd_noon(args.matrix, args.input, args.select, args.json)
-        if args.command == "sweep":
-            return cmd_sweep(args.matrix, args.photons, args.json)
-        if args.command == "reproduce":
-            return cmd_reproduce(args.matrix, args.tol, args.json)
-        raise AssertionError(f"unhandled command {args.command}")
+        matrix_file = None if args.matrix is None else load_matrix(args.matrix)
+        return args.run(args, matrix_file)
     except InputError as exc:
         print(f"noonforge: input error: {exc}", file=sys.stderr)
         return 2

@@ -209,8 +209,6 @@ def transition_amplitude(matrix, state_in: FockState, state_out: FockState) -> c
     if p_out.photons != n:
         raise ShapeError(
             f"photon number mismatch: input has {n}, output has {p_out.photons}")
-    if n == 0:
-        return 1 + 0j
     if len(p_in.counts) == 1 < len(p_out.counts):
         u, p_in, p_out = u.T, p_out, p_in
     a = u.take(p_out.occupied, 0).take(p_in.repeated, 1).T

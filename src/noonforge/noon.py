@@ -137,10 +137,10 @@ def _kept_positions(basis: FockBasis, kept) -> list[int]:
     states = list(dict.fromkeys(tuple(occ) for occ in kept))
     if not states:
         raise SpecError("post-selection must keep at least one state")
-    for occ in states:
-        if occ not in basis:
-            raise SpecError(f"selected state {occ} is not in the table's basis")
-    return [basis.index_of(occ) for occ in states]
+    try:
+        return [basis.index_of(occ) for occ in states]
+    except KeyError as exc:
+        raise SpecError(f"selected state {exc.args[0]} is not in the table's basis") from None
 
 
 def post_select(table: QuantumState, kept) -> tuple[QuantumState, float]:
@@ -181,9 +181,13 @@ def sweep_inputs(matrix, total_photons: int) -> list[tuple[FockState, NoonReport
     report equal to noon_report's for that input. Inputs with no bunched weight
     get a zero-success placeholder (fidelity 0) and rank last. Successes within
     fock.NEGLIGIBLE_AMPLITUDE of their tied group's largest rank as equal and break
-    on the ascending lexicographic order of the input occupations. More
-    photons than a permanent takes are refused before any basis is built.
+    on the ascending lexicographic order of the input occupations. A count that
+    is not an integer, or more photons than a permanent takes, is refused
+    before any basis is built.
     """
+    if type(total_photons) is bool or not isinstance(total_photons, (int, np.integer)):
+        raise ShapeError(f"sweep photon count must be an integer, got {total_photons!r}")
+    total_photons = int(total_photons)
     if total_photons < 1:
         raise ShapeError("sweep needs at least one photon")
     require_permanent_size(total_photons)

@@ -25,11 +25,6 @@ from .unitary import MatrixFile, load_matrix, unitarize, validate_symmetry
 SPLITTER_I = "splitter_i"
 SPLITTER_II = "splitter_ii"
 
-_MATRIX_FILES = {
-    SPLITTER_I: "splitter_i.json",
-    SPLITTER_II: "splitter_ii.json",
-}
-
 
 def data_path(filename: str):
     """Filesystem path of a bundled data file."""
@@ -38,11 +33,9 @@ def data_path(filename: str):
 
 def bundled_matrix(name: str) -> MatrixFile:
     """Load one of the bundled splitter matrices ("splitter_i"/"splitter_ii")."""
-    try:
-        filename = _MATRIX_FILES[name]
-    except KeyError:
-        raise KeyError(f"no bundled matrix named {name!r}") from None
-    return load_matrix(data_path(filename))
+    if name not in (SPLITTER_I, SPLITTER_II):
+        raise KeyError(f"no bundled matrix named {name!r}")
+    return load_matrix(data_path(f"{name}.json"))
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,19 @@ def test_sweep_validates_inputs(operator_ii):
         sweep_inputs(2 * np.eye(4), 2)
 
 
+def test_sweep_refuses_non_integer_photon_counts(monkeypatch, operator_ii):
+    expected = sweep_inputs(operator_ii, 3)
+    assert sweep_inputs(operator_ii, np.int64(3)) == expected
+
+    def no_basis(*args):
+        raise AssertionError("a basis was built for a refused photon count")
+
+    monkeypatch.setattr(noon, "enumerate_basis", no_basis)
+    for count in (True, 2.5, "4"):
+        with pytest.raises(ShapeError, match=f"got {count!r}"):
+            sweep_inputs(operator_ii, count)
+
+
 def test_sweep_success_probabilities_are_probabilities():
     rng = np.random.default_rng(RNG_SEED)
     u = haar_unitary(4, rng)
