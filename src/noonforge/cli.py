@@ -32,7 +32,7 @@ from . import serialize
 from .errors import InputError, NumericError
 from .evolve import evolve_state, require_permanent_size
 from .fock import (NEGLIGIBLE_AMPLITUDE, QuantumState, amplitude_rows, format_occupations,
-                   parse_occupations, parse_spec, phases_deg, state_from_kets)
+                   parse_occupations, parse_spec, printed_phases, state_from_kets)
 from .noon import noon_components, noon_report, select_outputs, sweep_inputs
 from .reference import operator_from_file, reproduction_claims
 from .unitary import MatrixFile, load_matrix, save_matrix, unitarity_defect, unitarize
@@ -40,7 +40,7 @@ from .unitary import MatrixFile, load_matrix, save_matrix, unitarity_defect, uni
 
 def _print_amplitude_rows(pairs):
     magnitudes = [abs(amp) for _, amp in pairs]
-    degrees = phases_deg([amp for _, amp in pairs], magnitudes).tolist()
+    degrees = printed_phases([amp for _, amp in pairs], magnitudes, 0)
     for (occ, _), mag, deg in zip(pairs, magnitudes, degrees):
         print(f"  {mag:.4f} @ {round(deg):+4d} deg  |{format_occupations(occ)}>")
 
@@ -145,10 +145,11 @@ def cmd_sweep(args: argparse.Namespace, mf: MatrixFile) -> int:
             "photons": args.photons,
             "modes": mf.dim,
             "rows": [
-                {"input": format_occupations(occ),
-                 "success_probability": serialize.fixed(r.success_probability, 4),
-                 "fidelity": serialize.fixed(r.fidelity, 4)}
-                for occ, r in rows
+                {"input": format_occupations(occ), "success_probability": s, "fidelity": f}
+                for (occ, _), s, f in zip(
+                    rows,
+                    serialize.fixed_column([r.success_probability for _, r in rows], 4),
+                    serialize.fixed_column([r.fidelity for _, r in rows], 4))
             ],
         }
         print(serialize.dumps(payload), end="")

@@ -329,16 +329,27 @@ def phases_deg(amplitudes, magnitudes) -> np.ndarray:
     return degrees
 
 
+def printed_phases(amplitudes, magnitudes, places: int) -> list[float]:
+    """phases_deg as printed to `places` decimals: a phase that rounds to -180 there
+    prints as 180, the same phase, so no printout shows -180."""
+    degrees = phases_deg(amplitudes, magnitudes)
+    printed = degrees.tolist()
+    # round(x, places) rounds as the printed text does; no phase above -179 can reach -180
+    for i in np.flatnonzero(degrees < -179).tolist():
+        if round(printed[i], places) == -180:
+            printed[i] = 180.0
+    return printed
+
+
 def amplitude_rows(labels, amplitudes) -> list[dict]:
-    """JSON rows for (ket text, amplitude) pairs: ket, magnitude and phases_deg to 6 decimal
-    places. Magnitudes take the scalar abs (hypot), whose bits np.abs does not match."""
+    """JSON rows for (ket text, amplitude) pairs: ket, magnitude and printed phase to 6
+    decimal places. Magnitudes take the scalar abs (hypot), whose bits np.abs does not match."""
     amplitudes = np.asarray(amplitudes, dtype=complex)
     magnitudes = list(map(abs, amplitudes.tolist()))
-    return [{"state": label,
-             "mag": serialize.fixed(mag, 6),
-             "phase_deg": serialize.fixed(phase, 6)}
-            for label, mag, phase in zip(labels, magnitudes,
-                                         phases_deg(amplitudes, magnitudes).tolist())]
+    phases = printed_phases(amplitudes, magnitudes, 6)
+    return [{"state": label, "mag": mag, "phase_deg": phase}
+            for label, mag, phase in zip(labels, serialize.fixed_column(magnitudes, 6),
+                                         serialize.fixed_column(phases, 6))]
 
 
 def rank_descending(items, scores) -> list:
@@ -443,7 +454,7 @@ def state_to_spec(state: QuantumState) -> str:
     if len(index) == 1 and abs(mags[0] - 1.0) <= NEGLIGIBLE_AMPLITUDE:
         return state.basis.labels[index[0]]
     parts = []
-    for i, mag, deg in zip(index, mags, phases_deg(amps, mags).tolist()):
+    for i, mag, deg in zip(index, mags, printed_phases(amps, mags, 2)):
         phase = "" if abs(deg) <= 1e-9 else f"@{deg:.2f}"
         parts.append(f"{mag:.6f}{phase}*|{state.basis.labels[i]}>")
     return " + ".join(parts)

@@ -40,20 +40,20 @@ class NoonReport:
     fidelity: float
 
     def to_payload(self) -> dict:
+        success, fidelity = serialize.fixed_column((self.success_probability, self.fidelity), 4)
         return {
             "photons": self.photons,
             "modes": self.modes,
-            "success_probability": serialize.fixed(self.success_probability, 4),
-            "fidelity": serialize.fixed(self.fidelity, 4),
+            "success_probability": success,
+            "fidelity": fidelity,
             "components": [
-                {**row,
-                 "normalized_mag": serialize.fixed(m, 4),
-                 "optimal_phase_deg": serialize.fixed(p, 2)}
+                {**row, "normalized_mag": m, "optimal_phase_deg": p}
                 for row, m, p in zip(
                     amplitude_rows(map(format_occupations,
                                        _noon_states(self.photons, self.modes)),
                                    self.raw_amplitudes),
-                    self.normalized_amplitudes, self.optimal_phases_deg)
+                    serialize.fixed_column(self.normalized_amplitudes, 4),
+                    serialize.fixed_column(self.optimal_phases_deg, 2))
             ],
         }
 

@@ -3,12 +3,21 @@
 The matrix files and ``--json`` reports must round-trip decimal strings
 bit-exactly and be byte-identical across runs, so numbers are emitted as
 pre-formatted tokens instead of going through ``repr(float)``.
+
+Tables are rendered in bulk. ``fixed_column`` formats a whole column of numbers
+with one ``%`` operation and folds negative zero on the text once; ``fixed`` is
+its one-value case. ``dumps`` renders a non-empty list of plain dicts that share
+one key order, every key an exact ``str`` or ``int`` and each column all exact
+``RawNumber`` or all exact ``str``, through one ``%`` template whose key tokens
+are encoded once. Any other container takes the general walk, which gives the
+same text.
 """
 
 from __future__ import annotations
 
 import json
 from decimal import Decimal
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .errors import MatrixFileError
@@ -18,12 +27,21 @@ class RawNumber(str):
     """A string that is emitted verbatim as a JSON number token."""
 
 
+def fixed_column(values, places: int) -> list[RawNumber]:
+    """Each value with `places` decimals, the whole column in one ``%`` operation.
+
+    A value that rounds to zero prints without a sign: "-" can only start a
+    token, so the one negative-zero token is replaced on the joined text.
+    """
+    values = tuple(values)
+    zero = f"{0.0:.{places}f}\n"
+    text = ((f"%.{places}f\n" * len(values)) % values).replace("-" + zero, zero)
+    return list(map(RawNumber, text.splitlines()))
+
+
 def fixed(value: float, places: int) -> RawNumber:
-    """Format a float with a fixed number of decimals (negative zero folded)."""
-    text = f"{value:.{places}f}"
-    if text[0] == "-" and float(text) == 0.0:
-        text = f"{0.0:.{places}f}"
-    return RawNumber(text)
+    """Format one float with a fixed number of decimals, as fixed_column does."""
+    return fixed_column((value,), places)[0]
 
 
 def sci(value: float) -> RawNumber:
@@ -77,12 +95,46 @@ def _token(value) -> str | None:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _row_list(rows: list, level: int) -> str | None:
+    """A non-empty list of table rows as JSON text, or None if it is not one.
+
+    Rows are plain dicts with one key order, every key an exact str or int
+    (so equal keys print equal), and each column all exact RawNumber or all
+    exact str. Each row is one line of the template, so the text is _container's.
+    """
+    if set(map(type, rows)) != {dict}:
+        return None
+    keys = list(rows[0])
+    names = list(chain.from_iterable(rows))
+    if names != keys * len(rows) or not set(map(type, names)) <= {str, int}:
+        return None
+    width = len(keys)
+    cells = list(chain.from_iterable(map(dict.values, rows)))
+    for j in range(width):
+        column = cells[j::width]
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            cells[j::width] = map(encode_basestring_ascii, column)
+        elif kinds != {RawNumber}:
+            return None
+    row = "{" + ", ".join(encode_basestring_ascii(str(k)).replace("%", "%%") + ": %s"
+                          for k in keys) + "}"
+    pad = "\n" + "  " * (level + 1)
+    template = "[" + pad + ("," + pad).join([row] * len(rows)) + "\n" + "  " * level + "]"
+    return template % tuple(cells)
+
+
 def _container(value, level: int) -> str:
     """A dict, list or tuple as JSON text; each child's token is computed once.
 
     A container whose children are all leaves stays on one line; any other
-    puts each child on its own line, indented two spaces per level.
+    puts each child on its own line, indented two spaces per level. A list
+    of table rows is rendered by _row_list's template.
     """
+    if type(value) is list and value:
+        text = _row_list(value, level)
+        if text is not None:
+            return text
     tokens, flat = [], True
     for child in value.values() if isinstance(value, dict) else value:
         token = _token(child)

@@ -257,6 +257,24 @@ def test_evolve_echoes_a_phase_of_minus_180_as_180(run):
     assert echoed[0] == echoed[1] == "0.707107*|1,0,0,0> + 0.707107@180.00*|0,1,0,0>"
 
 
+def test_evolve_echoes_a_phase_that_rounds_to_minus_180_as_180(run):
+    # -179.999 is more than noise, but its 2-decimal echo would read -180.00
+    code, output = run("evolve", "--json", "--matrix", SPLITTER_II_PATH,
+                       "--input", "1*|1,0,0,0> + 1@-179.999*|0,1,0,0>")
+    assert code == 0
+    assert serialize.loads(output)["input"] == \
+        "0.707107*|1,0,0,0> + 0.707107@180.00*|0,1,0,0>"
+
+
+def test_text_listing_prints_a_phase_that_rounds_to_minus_180_as_180(run, identity4):
+    # the identity passes the input through, so the listing shows -179.7 rounded
+    code, output = run("evolve", "--matrix", identity4,
+                       "--input", "1*|1,0,0,0> + 1@-179.7*|0,1,0,0>")
+    assert code == 0
+    assert "  0.7071 @ +180 deg  |0,1,0,0>\n" in output
+    assert "-180" not in output
+
+
 def test_evolve_wrong_mode_count(run):
     code, _ = run("evolve", "--matrix", SPLITTER_II_PATH, "--input", "0,0,1")
     assert code == 2

@@ -418,12 +418,24 @@ def test_amplitude_rows_match_one_scalar_call_per_amplitude():
     labels = [f"{i},0" for i in range(len(amps))]
     # 0, -0.0 and -1e-13j are at most NEGLIGIBLE_AMPLITUDE, so their phase prints as
     # 0; -0.5 - 1e-17j is real to within NEGLIGIBLE_AMPLITUDE of its magnitude, so
-    # its phase is 180, not -180; -1 - 1e-11j is not, and keeps its phase
+    # its phase is 180, not -180; -1 - 1e-11j is not, and keeps its phase, which
+    # rounds to -180 at 6 decimals and so prints as 180
+    assert serialize.fixed(math.degrees(np.angle(-1 - 1e-11j)), 6) == "-180.000000"
     phases = ([math.degrees(np.angle(a)) for a in amps[:-6]]
-              + [0.0, 0.0, 0.0, 180.0, 180.0, math.degrees(np.angle(-1 - 1e-11j))])
+              + [0.0, 0.0, 0.0, 180.0, 180.0, 180.0])
     expected = [{"state": label,
                  "mag": serialize.fixed(abs(a), 6),
                  "phase_deg": serialize.fixed(phase, 6)}
                 for label, a, phase in zip(labels, amps, phases)]
     assert amplitude_rows(labels, amps) == expected
     assert amplitude_rows(labels, list(amps)) == expected
+
+
+@pytest.mark.parametrize("degrees, printed", [
+    (-179.9999996, "180.000000"),  # rounds to -180 at 6 decimals
+    (-179.9999994, "-179.999999"),
+    (179.9999996, "180.000000"),
+])
+def test_amplitude_rows_print_a_phase_that_rounds_to_minus_180_as_180(degrees, printed):
+    (row,) = amplitude_rows(["1,0"], [np.exp(1j * np.radians(degrees))])
+    assert row["phase_deg"] == printed
