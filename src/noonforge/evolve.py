@@ -22,9 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, InputError, NotHermitianError, ShapeError
-from .fock import (CACHE_BYTES, BoundedCache, FockBasis, FockState, QuantumState,
+from .fock import (CACHE_BYTES, BoundedCache, FockBasis, FockState, QuantumState, _whole,
                    amplitude_rows, rank_descending, state_to_spec)
-from .unitary import HERMITIAN_TOL, require_hermitian, require_square, require_unitary
+from .unitary import HERMITIAN_TOL, as_complex, require_hermitian, require_square, require_unitary
 
 PERMANENT_CAP = 16
 # Most operations the Hamiltonian route's Chebyshev series may take, estimated
@@ -78,17 +78,6 @@ def require_permanent_size(n: int) -> None:
             f"a {n}x{n} permanent ({n} photons) exceeds the cap of {PERMANENT_CAP}")
 
 
-def _occupations(occ: tuple, role: str) -> tuple[int, ...]:
-    """`occ` as non-negative Python ints; ShapeError on anything else."""
-    if not all(type(n) is int for n in occ):
-        if not all(type(n) is int or isinstance(n, np.integer) for n in occ):
-            raise ShapeError(f"{role} must be integers: {occ}")
-        occ = tuple(int(n) for n in occ)
-    if min(occ, default=0) < 0:
-        raise ShapeError(f"{role} must be non-negative: {occ}")
-    return occ
-
-
 def permanent(matrix, counts=None) -> complex:
     """Permanent of `matrix` with column c repeated counts[c] times (default once).
 
@@ -113,10 +102,10 @@ def permanent(matrix, counts=None) -> complex:
         a = require_square(matrix).T
         key = counts = (1,) * a.shape[0]
     else:
-        a = np.asarray(matrix, dtype=complex)
+        a = as_complex(matrix)
         key = counts
         if type(counts) is not _Counts:
-            counts = _occupations(tuple(counts), "column counts")
+            counts = _whole(counts, "column counts")
             key = tuple(sorted(counts, reverse=True))
         if a.shape != (sum(counts), len(counts)):
             raise ShapeError(f"expected a ({sum(counts)}, {len(counts)}) matrix for "
@@ -173,14 +162,16 @@ def _new_ports(occ: tuple[int, ...]) -> _Ports:
 def _ports(occ, modes: int, role: str) -> _Ports:
     """The cached _Ports of `occ`, checked as occupations of `modes` modes.
 
-    A hit skips the checks when `occ` is the very tuple its entry was built
-    from, and skips all but a scan for plain ints when it is an equal tuple:
-    1.0, True and numpy ints equal 1 and would find the entry too.
+    A hit skips the checks when `occ` is the very tuple its entry was built from,
+    and all but a scan for plain ints when it is an equal tuple (1.0, True and
+    numpy ints equal 1 and find it too); a miss or a non-tuple is checked in full.
     """
-    occ = tuple(occ)
-    entry = _port_cache.get(occ)
+    try:
+        entry = _port_cache.get(occ) if type(occ) is tuple else None
+    except TypeError:  # a tuple holding an unhashable entry is checked as a miss
+        entry = None
     if entry is None or entry.occ is not occ and not all(type(n) is int for n in occ):
-        occ = _occupations(occ, f"{role} occupations")
+        occ = _whole(occ, f"{role} occupations")
     if len(occ) != modes:
         raise ShapeError(f"{role} state lists {len(occ)} modes, matrix has {modes}")
     if entry is None:

@@ -6,7 +6,6 @@ import cmath
 import functools
 import itertools
 import math
-import operator
 import os
 import re
 import threading
@@ -15,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
-from .errors import CapacityError, InputError, SpecError
+from . import serialize, unitary
+from .errors import CapacityError, InputError, ShapeError, SpecError
 
 FockState = tuple[int, ...]
 
@@ -48,6 +47,19 @@ def state_cap() -> int:
     return cap
 
 
+def _whole(values, role: str) -> tuple[int, ...]:
+    """`values` as non-negative ints (int or numpy integer, no bool), or ShapeError."""
+    if not np.iterable(values):
+        raise ShapeError(f"{role} must be a sequence of integers, got {values!r}")
+    values = tuple(values)
+    if [n for n in values if type(n) is not int or n < 0]:  # plain non-negative ints pass
+        if bad := [n for n in values if type(n) is not int and not isinstance(n, np.integer)]:
+            raise ShapeError(f"{role} must be integers, got {bad[0]!r}")
+        if min(values := tuple(map(int, values))) < 0:
+            raise ShapeError(f"{role} must be non-negative: {values}")
+    return values
+
+
 def _require_within_cap(modes: int, photons: int, size: int) -> None:
     limit = state_cap()
     if size > limit:
@@ -67,10 +79,9 @@ class FockBasis:
     """
 
     def __init__(self, modes: int, photons: int):
+        modes, photons = _whole((modes, photons), "mode and photon counts")
         if modes < 1:
             raise InputError(f"mode count must be at least 1, got {modes}")
-        if photons < 0:
-            raise InputError(f"photon number must be non-negative, got {photons}")
         slots = photons + modes - 1
         size = math.comb(slots, modes - 1)
         _require_within_cap(modes, photons, size)
@@ -221,13 +232,12 @@ def _footprint(modes: int, photons: int, size: int) -> int:
 def enumerate_basis(modes: int, photons: int) -> FockBasis:
     """The complete n-photon, m-mode occupation basis, one shared instance per process.
 
-    Bases are cached per (operator.index(modes), operator.index(photons)),
-    so a float count is a TypeError and every table built from a basis
-    (`states`, `labels`, `ladder`) is built once. A hit still checks the
-    basis against state_cap(). The cache holds at most CACHE_BYTES, each basis
-    counted by its footprint with every table built (see BoundedCache).
+    Both counts are checked (_whole) before the lookup, so a bool or float is a
+    ShapeError, and every table built from a basis (`states`, `labels`, `ladder`)
+    is built once. A hit still checks the basis against state_cap(). The cache
+    holds at most CACHE_BYTES, each basis counted by its footprint (see BoundedCache).
     """
-    key = operator.index(modes), operator.index(photons)
+    key = _whole((modes, photons), "mode and photon counts")
     basis = _basis_cache.get(key)
     if basis is not None:
         _require_within_cap(*key, len(basis))
@@ -244,7 +254,7 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = unitary.as_complex(self.amplitudes)
         if amps.shape != (len(self.basis),):
             raise SpecError(
                 f"amplitude vector of length {amps.shape} does not match "
@@ -256,9 +266,9 @@ class QuantumState:
 
     @classmethod
     def from_occupations(cls, basis: FockBasis, occupations: FockState) -> "QuantumState":
-        amps = np.zeros(len(basis), dtype=complex)
-        amps[basis.index_of(occupations)] = 1.0
-        return cls(basis, amps)
+        if (position := basis._position(_whole(occupations, "occupations"))) is None:
+            raise ShapeError(f"occupations {occupations!r} are not a state of {basis!r}")
+        return cls(basis, np.arange(len(basis)) == position)
 
     def _scaled(self) -> tuple[np.ndarray, float, int]:
         """The amplitudes times 2^-e, their largest real or imaginary part, and e.
@@ -448,13 +458,12 @@ def state_from_spec(spec: str) -> tuple[FockBasis, QuantumState]:
 
 def state_to_spec(state: QuantumState) -> str:
     """Render a state in the ket-spec grammar (single kets stay bare lists)."""
-    index = [i for i, a in enumerate(state.amplitudes) if abs(a) > NEGLIGIBLE_AMPLITUDE]
+    index = np.flatnonzero(np.abs(state.amplitudes) > NEGLIGIBLE_AMPLITUDE).tolist()
     amps = state.amplitudes[index]
     mags = list(map(abs, amps))
     if len(index) == 1 and abs(mags[0] - 1.0) <= NEGLIGIBLE_AMPLITUDE:
         return state.basis.labels[index[0]]
-    parts = []
-    for i, mag, deg in zip(index, mags, printed_phases(amps, mags, 2)):
-        phase = "" if abs(deg) <= 1e-9 else f"@{deg:.2f}"
-        parts.append(f"{mag:.6f}{phase}*|{state.basis.labels[i]}>")
-    return " + ".join(parts)
+    # a phase printed as 0.00 or -0.00 is left out
+    phases = ["" if round(deg, 2) == 0 else f"@{deg:.2f}" for deg in printed_phases(amps, mags, 2)]
+    return " + ".join(f"{mag:.6f}{phase}*|{state.basis.labels[i]}>"
+                      for i, mag, phase in zip(index, mags, phases))

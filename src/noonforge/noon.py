@@ -22,8 +22,9 @@ from . import serialize
 from .errors import ShapeError, SpecError, ZeroProbabilityError
 from .evolve import (TransitionTable, require_evolvable, require_permanent_size,
                      transition_amplitude)
-from .fock import (NEGLIGIBLE_AMPLITUDE, FockBasis, FockState, QuantumState, amplitude_rows,
-                   enumerate_basis, format_occupations, phases_deg, rank_descending)
+from .fock import (NEGLIGIBLE_AMPLITUDE, FockBasis, FockState, QuantumState, _whole,
+                   amplitude_rows, enumerate_basis, format_occupations, phases_deg,
+                   rank_descending)
 from .unitary import require_unitary
 
 
@@ -132,9 +133,9 @@ def extract_noon(table: TransitionTable) -> NoonReport:
 
 
 def _kept_positions(basis: FockBasis, kept) -> list[int]:
-    """Positions of the distinct kept states in `basis`; SpecError if there are none
-    or one is not in it."""
-    states = list(dict.fromkeys(tuple(occ) for occ in kept))
+    """Positions of the distinct kept states in `basis`; ShapeError unless each is
+    whole (fock._whole), SpecError if there are none or one is not in it."""
+    states = list(dict.fromkeys(_whole(occ, "kept occupations") for occ in kept))
     if not states:
         raise SpecError("post-selection must keep at least one state")
     try:
@@ -185,9 +186,7 @@ def sweep_inputs(matrix, total_photons: int) -> list[tuple[FockState, NoonReport
     is not an integer, or more photons than a permanent takes, is refused
     before any basis is built.
     """
-    if type(total_photons) is bool or not isinstance(total_photons, (int, np.integer)):
-        raise ShapeError(f"sweep photon count must be an integer, got {total_photons!r}")
-    total_photons = int(total_photons)
+    (total_photons,) = _whole((total_photons,), "sweep photon counts")
     if total_photons < 1:
         raise ShapeError("sweep needs at least one photon")
     require_permanent_size(total_photons)

@@ -67,12 +67,20 @@ class PolarEntry:
         return float(self.magnitude) * np.exp(1j * math.radians(float(self.phase_deg)))
 
 
+def as_complex(values) -> np.ndarray:
+    """`values` as a complex array; ShapeError where numpy cannot read them as one."""
+    try:
+        return np.asarray(values, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ShapeError(f"expected an array of numbers: {exc}") from None
+
+
 def require_square(matrix) -> np.ndarray:
     """`matrix` as a complex array; ShapeError unless it is square.
 
     Only the shape is checked, so the per-amplitude calls can afford it.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = as_complex(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -102,7 +110,7 @@ def require_unitary(matrix) -> np.ndarray:
 
     The tolerance is per entry: max |M^H M - I| <= UNITARY_TOL.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = require_square(matrix)
     defect = max_unitarity_defect(m)
     if defect > UNITARY_TOL:
         raise NotUnitaryError(

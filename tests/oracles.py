@@ -5,6 +5,7 @@ import json
 import math
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -92,6 +93,59 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def _dyadic(values) -> tuple[list[tuple[int, int]], int]:
+    """Complex doubles as Gaussian integers over one power of two, exactly:
+    ([(re, im), ...], e) with each value equal to (re + i im) / 2**e."""
+    ratios = [part.as_integer_ratio() for v in values for part in (v.real, v.imag)]
+    e = max(q.bit_length() - 1 for _, q in ratios)
+    ints = [p << (e - q.bit_length() + 1) for p, q in ratios]
+    return list(zip(ints[::2], ints[1::2])), e
+
+
+def _times_linear(poly: dict, column) -> dict:
+    """poly * sum_j column[j] adag_j, for a polynomial in the adag_j keyed by exponents."""
+    out = {}
+    for s, (x, y) in poly.items():
+        for j, (a, b) in enumerate(column):
+            if a or b:
+                key = s[:j] + (s[j] + 1,) + s[j + 1:]
+                re, im = out.get(key, (0, 0))
+                out[key] = (re + x * a - y * b, im + x * b + y * a)
+    return out
+
+
+def exact_squared_magnitudes(unitary, state: QuantumState) -> list[Fraction]:
+    """|<s|S|in>|^2 for each state s of the input's basis, in its order, exact for the
+    doubles of U (U[j, i] takes input port i to output port j) and of the input's
+    amplitudes.
+
+    prod_i (sum_j U[j,i] adag_j)^(t_i) |0> is expanded over the monomials
+    prod_j adag_j^(s_j) |0> = sqrt(prod s_j!) |s>, each entry of U an exact
+    Gaussian integer over a power of two, so <s|S|t> = c_s sqrt(prod s_j! / prod t_i!)
+    with c_s exact. The input's terms must share prod t_i!; the sum over them then
+    squares to a rational with no root left in it.
+    """
+    u = np.asarray(unitary, dtype=complex)
+    modes = u.shape[0]
+    entries, e = _dyadic(u.T.ravel().tolist())
+    columns = [entries[i * modes:(i + 1) * modes] for i in range(modes)]
+    terms = [(occ, c) for occ, c in zip(state.basis.states, state.amplitudes.tolist()) if c]
+    (weight,) = {math.prod(map(math.factorial, occ)) for occ, _ in terms}
+    coeffs, f = _dyadic([c for _, c in terms])
+    total = dict.fromkeys(state.basis.states, (0, 0))
+    for (occ, _), (cr, ci) in zip(terms, coeffs):
+        poly = {(0,) * modes: (1, 0)}
+        for i, n in enumerate(occ):
+            for _ in range(n):
+                poly = _times_linear(poly, columns[i])
+        for s, (x, y) in poly.items():
+            re, im = total[s]
+            total[s] = (re + x * cr - y * ci, im + x * ci + y * cr)
+    denominator = weight << 2 * (e * state.basis.photons + f)
+    return [Fraction(math.prod(map(math.factorial, s)) * (re * re + im * im), denominator)
+            for s, (re, im) in total.items()]
 
 
 def bunched_amplitudes(unitary, occupations) -> np.ndarray:

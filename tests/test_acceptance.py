@@ -45,6 +45,20 @@ QUOTED_PAIR_OUTPUT = {
     (0, 1, 0, 1): (0.143, -97.0),
 }
 
+# Quoted bunched outputs for |0,1,1,1> and |1,1,1,1>: occupations -> (mag, phase_deg).
+QUOTED_TRIPLE_NOON = {
+    (3, 0, 0, 0): (0.335, -15.0),
+    (0, 3, 0, 0): (0.259, -45.0),
+    (0, 0, 3, 0): (0.290, 53.0),
+    (0, 0, 0, 3): (0.291, -23.0),
+}
+QUOTED_QUAD_NOON = {
+    (4, 0, 0, 0): (0.295, -42.0),
+    (0, 4, 0, 0): (0.296, -109.0),
+    (0, 0, 4, 0): (0.279, 144.0),
+    (0, 0, 0, 4): (0.291, -67.0),
+}
+
 QUOTED_PAIR_NOON_NORMALIZED = (0.497, 0.488, 0.501, 0.513)
 QUOTED_ENTANGLED_MAGNITUDES = (0.686, 0.728)
 QUOTED_TRIPLE_NOON_NORMALIZED = (0.568, 0.439, 0.492, 0.493)
@@ -147,6 +161,26 @@ def test_criterion_5_four_photon_noon(operator_ii):
     report_line("criterion 5 (four-photon NOON)",
                 f"success {report.success_probability:.4f}, "
                 f"fidelity {report.fidelity:.5f}")
+
+
+def test_criteria_4_and_5_bunched_relative_phases(operator_ii):
+    """The eight quoted three- and four-photon bunched phases, relative to the
+    largest component, by the claim the two-photon table uses and its 4-degree band."""
+    assert reference.RELATIVE_PHASE_TOL_DEG == PHASE_TOL_DEG
+    details = []
+    for name, spec, quoted, stored in [
+            ("three-photon", "0,1,1,1", QUOTED_TRIPLE_NOON, reference.THREE_PHOTON_NOON),
+            ("four-photon", "1,1,1,1", QUOTED_QUAD_NOON, reference.FOUR_PHOTON_NOON)]:
+        assert stored == quoted
+        table = evolve_ket(operator_ii, spec)
+        computed = {occ: table.amplitude(occ) for occ in quoted}
+        claim = reference._relative_phase_claim(
+            f"{name} bunched relative phases", computed, stored,
+            reference.RELATIVE_PHASE_TOL_DEG, reference.DOMINANT_MAGNITUDE)
+        assert claim.passed, claim
+        assert "(4 components above" in claim.computed, claim
+        details.append(f"{name} {claim.computed.split(' (')[0]}")
+    report_line("criteria 4 and 5 (bunched relative phases)", "; ".join(details))
 
 
 def test_criterion_6_spread_inputs_outrank_concentrated(operator_ii):

@@ -265,7 +265,7 @@ def test_cached_amplitude_checks_its_occupations_once(monkeypatch):
 
     def no_check(occ, role):
         raise AssertionError(f"{role} checked again")
-    monkeypatch.setattr(evolve, "_occupations", no_check)
+    monkeypatch.setattr(evolve, "_whole", no_check)
     got = [transition_amplitude(u, built_from[0], occ) for occ in built_from[1:]]
     assert got == expected and repr(got) == repr(expected)
 
@@ -287,6 +287,24 @@ def test_permanent_checks_plain_counts(used):
         permanent(a, (2.0, 1.0))
     with pytest.raises(ShapeError, match="column counts must be non-negative"):
         permanent(np.ones((3, 3)), (3, 1, -1))
+
+
+@pytest.mark.parametrize("bad", [5, None, 1.0, "10", ([1], 0), (np.array(1), 0)],
+                         ids=["int", "None", "float", "str", "list-entry", "array-entry"])
+def test_occupations_that_are_not_integer_sequences_are_shape_errors(hadamard_splitter, bad):
+    transition_amplitude(hadamard_splitter, (1, 0), (1, 0))  # a cached entry to hit
+    with pytest.raises(ShapeError, match="input occupations must be"):
+        transition_amplitude(hadamard_splitter, bad, (1, 0))
+    with pytest.raises(ShapeError, match="output occupations must be"):
+        transition_amplitude(hadamard_splitter, (1, 0), bad)
+
+
+def test_permanent_arrays_numpy_cannot_read_are_shape_errors():
+    for ragged in ([[1, 2], [3]], [[1, 2], [3, "x"]]):
+        with pytest.raises(ShapeError, match="expected an array of numbers"):
+            permanent(ragged)
+        with pytest.raises(ShapeError, match="expected an array of numbers"):
+            permanent(ragged, (1, 1))
 
 
 def test_photon_mismatch_rejected(hadamard_splitter):

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noonforge import CapacityError, InputError, QuantumState, SpecError, enumerate_basis
+from noonforge import (CapacityError, InputError, QuantumState, ShapeError, SpecError,
+                       enumerate_basis)
 from noonforge import fock, serialize
 from noonforge.fock import (FockBasis, amplitude_rows, parse_spec, state_from_spec,
                            state_to_spec)
@@ -183,9 +184,9 @@ def test_shared_basis_is_read_only():
 
 def test_float_counts_are_refused_after_a_hit():
     enumerate_basis(4, 2)
-    with pytest.raises(TypeError):
+    with pytest.raises(ShapeError):
         enumerate_basis(4, 2.0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ShapeError):
         enumerate_basis(4.0, 2)
 
 
@@ -325,7 +326,56 @@ def test_spec_roundtrip_single_ket():
     assert state_to_spec(state) == "0,2,1,0"
 
 
+@pytest.mark.parametrize("phase, echoed", [
+    ("-0.001", ""), ("0.001", ""), ("-0.004999", ""), ("0.0049", ""), ("-0.006", "@-0.01"),
+    ("0.006", "@0.01"), ("0", ""), ("180", "@180.00"), ("-179.999", "@180.00")])
+def test_a_phase_echoed_as_zero_is_left_out(phase, echoed):
+    _, state = state_from_spec(f"1*|1,0,0,0> + 1@{phase}*|0,1,0,0>")
+    assert state_to_spec(state) == f"0.707107*|1,0,0,0> + 0.707107{echoed}*|0,1,0,0>"
+
+
+def test_spec_lists_exactly_the_terms_above_the_negligible_amplitude():
+    basis = enumerate_basis(4, 3)
+    amps = np.zeros(len(basis), dtype=complex)
+    amps[[0, 3, 7, 19]] = [0.6, 2e-12, 1e-12j, 0.8j]  # 1e-12 is negligible, 2e-12 is not
+    assert state_to_spec(QuantumState(basis, amps)) == \
+        "0.600000*|3,0,0,0> + 0.000000*|2,0,0,1> + 0.800000@90.00*|0,0,0,3>"
+
+
 # --- QuantumState ------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", ["x", [[1], [1, 2]], [1, {}], [10 ** 400] * 2],
+                         ids=["string", "ragged", "dict-entry", "huge-int"])
+def test_amplitudes_numpy_cannot_read_are_shape_errors(bad):
+    with pytest.raises(ShapeError, match="expected an array of numbers"):
+        QuantumState(enumerate_basis(2, 1), bad)
+
+
+@pytest.mark.parametrize("bad", [(True, 0), (1.0, 0), (np.float64(1), 0), ("1", 0), None, 5],
+                         ids=["bool", "float", "float64", "str", "None", "int"])
+def test_only_integer_occupations_build_a_state(bad):
+    basis = enumerate_basis(2, 1)
+    assert (1, 0) in basis or bad is None or bad == 5  # membership stays a dict lookup
+    with pytest.raises(ShapeError, match="occupations must be"):
+        QuantumState.from_occupations(basis, bad)
+    for spelled in [(1, 0), [1, 0], (np.int64(1), np.uint8(0)), np.array([1, 0])]:
+        state = QuantumState.from_occupations(basis, spelled)
+        assert state.amplitudes.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("occ", [(0, 1, 0), (2, 0), (1, -1, 1), ()])
+def test_a_state_outside_the_basis_is_a_shape_error(occ):
+    with pytest.raises(ShapeError):
+        QuantumState.from_occupations(enumerate_basis(2, 1), occ)
+
+
+@pytest.mark.parametrize("modes, photons", [(True, 2), (2, True), (2.0, 2), (2, 2.0), (2, "2"),
+                                            (None, 2), (2, -1), (-1, 2)], ids=repr)
+def test_basis_counts_follow_the_occupation_rule(modes, photons):
+    with pytest.raises(ShapeError, match="mode and photon counts must be"):
+        FockBasis(modes, photons)
+    with pytest.raises(ShapeError, match="mode and photon counts must be"):
+        enumerate_basis(modes, photons)
 
 def test_canonical_global_phase():
     basis = enumerate_basis(2, 1)

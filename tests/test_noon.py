@@ -77,6 +77,15 @@ def test_selection_validation(pair_table):
         post_select(pair_table, [(3, 0, 0, 0)])
 
 
+@pytest.mark.parametrize("bad", [None, 5, (1.0, 1, 0, 0), (True, 1, 0, 0), (1, 1, 0, -0.0)],
+                         ids=["None", "int", "float", "bool", "negative-zero"])
+def test_kept_states_follow_the_occupation_rule(operator_ii, pair_table, bad):
+    with pytest.raises(ShapeError, match="kept occupations must be"):
+        post_select(pair_table, [(0, 0, 1, 1), bad])
+    with pytest.raises(ShapeError, match="kept occupations must be"):
+        noon.select_outputs(operator_ii, pair_table.input, [bad])
+
+
 @pytest.mark.parametrize("name", ["splitter_i", "splitter_ii"])
 def test_select_outputs_equals_post_select_of_the_table(name, request):
     u = evolution_operator(unitarize(request.getfixturevalue(name)))

@@ -29,7 +29,8 @@ from noonforge import (
     validate_symmetry,
 )
 from noonforge.cli import main
-from noonforge.unitary import dumps_matrix, load_matrix, loads_matrix, max_unitarity_defect
+from noonforge.unitary import (dumps_matrix, load_matrix, loads_matrix, max_unitarity_defect,
+                               require_square, require_unitary)
 
 from oracles import haar_unitary, schur_generator
 
@@ -60,6 +61,17 @@ def test_polar_entry_matches_complex_arithmetic():
 def test_polar_entry_rejects_negative_magnitude():
     with pytest.raises(MatrixFileError):
         PolarEntry(Decimal("-0.5"), Decimal("0"))
+
+
+@pytest.mark.parametrize("bad", ["abc", [[1, 2], [3]], [[1, {}], [0, 1]], [[10 ** 400]]],
+                         ids=["string", "ragged", "dict-entry", "huge-int"])
+def test_arrays_numpy_cannot_read_are_shape_errors(bad):
+    with pytest.raises(ShapeError, match="expected an array of numbers"):
+        require_square(bad)
+    with pytest.raises(ShapeError, match="expected an array of numbers"):
+        require_unitary(bad)
+    with pytest.raises(ShapeError, match="expected an array of numbers"):
+        evolve_state(bad, state_from_spec("1,1")[1])
 
 
 # --- unitarity_defect -------------------------------------------------------
