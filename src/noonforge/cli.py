@@ -101,8 +101,7 @@ def cmd_noon(args: argparse.Namespace, mf: MatrixFile) -> int:
         kept = list(dict.fromkeys(
             parse_occupations(part) for part in args.select.split(";") if part.strip()))
         selected, probability = select_outputs(u, state, kept)
-        components = [(occ, a) for occ, a in zip(selected.basis.states, selected.amplitudes)
-                      if abs(a) > NEGLIGIBLE_AMPLITUDE]
+        components = selected.terms(NEGLIGIBLE_AMPLITUDE)
         if args.json:
             payload = {
                 "input": input_spec,

@@ -265,9 +265,7 @@ def evolve_state(matrix, state: QuantumState) -> TransitionTable:
     u = require_evolvable(matrix, state)
     basis = state.basis
     amplitudes = np.zeros(len(basis), dtype=complex)
-    for occ_in, coeff in zip(basis.states, state.amplitudes):
-        if coeff == 0:
-            continue
+    for occ_in, coeff in state.terms():
         for idx, occ_out in enumerate(basis.states):
             amplitudes[idx] += coeff * transition_amplitude(u, occ_in, occ_out)
     return TransitionTable(basis, amplitudes, input=state)

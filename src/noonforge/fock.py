@@ -310,11 +310,16 @@ class QuantumState:
             raise ValueError("cannot normalize a zero or non-finite state")
         return QuantumState(self.basis, scaled / np.linalg.norm(scaled))
 
+    def terms(self, threshold: float = 0.0) -> list[tuple[FockState, np.complex128]]:
+        """The (occupations, amplitude) pairs whose np.abs exceeds `threshold`, in basis
+        order; each amplitude is the numpy scalar `amplitudes[i]` reads."""
+        states, amps = self.basis.states, self.amplitudes
+        return [(states[i], amps[i]) for i in np.flatnonzero(np.abs(amps) > threshold).tolist()]
+
     def canonical(self) -> "QuantumState":
-        """Rotate the global phase so the first nonzero amplitude is real-positive."""
-        for amp in self.amplitudes:
-            if abs(amp) > NEGLIGIBLE_AMPLITUDE:
-                return QuantumState(self.basis, self.amplitudes * (abs(amp) / amp))
+        """Rotate the global phase so the first non-negligible amplitude is real-positive."""
+        for _, amp in self.terms(NEGLIGIBLE_AMPLITUDE)[:1]:
+            return QuantumState(self.basis, self.amplitudes * (abs(amp) / amp))
         return self
 
     def amplitude(self, occupations: FockState) -> complex:
@@ -458,12 +463,12 @@ def state_from_spec(spec: str) -> tuple[FockBasis, QuantumState]:
 
 def state_to_spec(state: QuantumState) -> str:
     """Render a state in the ket-spec grammar (single kets stay bare lists)."""
-    index = np.flatnonzero(np.abs(state.amplitudes) > NEGLIGIBLE_AMPLITUDE).tolist()
-    amps = state.amplitudes[index]
+    held = state.terms(NEGLIGIBLE_AMPLITUDE)
+    labels, amps = [format_occupations(occ) for occ, _ in held], [amp for _, amp in held]
     mags = list(map(abs, amps))
-    if len(index) == 1 and abs(mags[0] - 1.0) <= NEGLIGIBLE_AMPLITUDE:
-        return state.basis.labels[index[0]]
+    if len(labels) == 1 and abs(mags[0] - 1.0) <= NEGLIGIBLE_AMPLITUDE:
+        return labels[0]
     # a phase printed as 0.00 or -0.00 is left out
     phases = ["" if round(deg, 2) == 0 else f"@{deg:.2f}" for deg in printed_phases(amps, mags, 2)]
-    return " + ".join(f"{mag:.6f}{phase}*|{state.basis.labels[i]}>"
-                      for i, mag, phase in zip(index, mags, phases))
+    return " + ".join(f"{mag:.6f}{phase}*|{label}>"
+                      for label, mag, phase in zip(labels, mags, phases))

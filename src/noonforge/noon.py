@@ -69,11 +69,6 @@ def noon_components(basis: FockBasis) -> list[FockState]:
     return list(_noon_states(basis.photons, basis.modes))
 
 
-def _terms(state: QuantumState) -> list[tuple[FockState, complex]]:
-    """The (occupations, coeff) terms of `state` with nonzero coeff, in basis order."""
-    return [(occ, c) for occ, c in zip(state.basis.states, state.amplitudes) if c != 0]
-
-
 def _output_amplitudes(u: np.ndarray, inputs, targets) -> np.ndarray:
     """The amplitudes of the `targets` output states from each input, a row each: its
     (occupations, coeff) terms summed from zero in their order, as evolve_state sums."""
@@ -122,7 +117,7 @@ def noon_report(matrix, state: QuantumState) -> NoonReport:
     """
     u = require_evolvable(matrix, state)
     photons = state.basis.photons
-    raw = _output_amplitudes(u, [_terms(state)], _noon_states(photons, u.shape[0]))
+    raw = _output_amplitudes(u, [state.terms()], _noon_states(photons, u.shape[0]))
     return _single_report(raw, photons)
 
 
@@ -133,8 +128,10 @@ def extract_noon(table: TransitionTable) -> NoonReport:
 
 
 def _kept_positions(basis: FockBasis, kept) -> list[int]:
-    """Positions of the distinct kept states in `basis`; ShapeError unless each is
-    whole (fock._whole), SpecError if there are none or one is not in it."""
+    """Positions of the distinct kept states in `basis`; ShapeError unless `kept` is a
+    sequence of whole states (fock._whole), SpecError if there are none or one is not in it."""
+    if not np.iterable(kept):
+        raise ShapeError(f"kept states must be a sequence of occupations, got {kept!r}")
     states = list(dict.fromkeys(_whole(occ, "kept occupations") for occ in kept))
     if not states:
         raise SpecError("post-selection must keep at least one state")
@@ -144,6 +141,16 @@ def _kept_positions(basis: FockBasis, kept) -> list[int]:
         raise SpecError(f"selected state {exc.args[0]} is not in the table's basis") from None
 
 
+def _project(basis: FockBasis, indices: list[int], amplitudes) -> tuple[QuantumState, float]:
+    """`amplitudes` at `indices` of `basis`, renormalized to canonical phase, and their weight."""
+    probability = float(sum(abs(amp) ** 2 for amp in amplitudes))
+    if probability <= NEGLIGIBLE_AMPLITUDE ** 2:
+        raise ZeroProbabilityError("post-selection kept zero probability")
+    amps = np.zeros(len(basis), dtype=complex)
+    amps[indices] = amplitudes
+    return QuantumState(basis, amps / math.sqrt(probability)).canonical(), probability
+
+
 def post_select(table: QuantumState, kept) -> tuple[QuantumState, float]:
     """Project a table onto the kept states and renormalize.
 
@@ -151,13 +158,7 @@ def post_select(table: QuantumState, kept) -> tuple[QuantumState, float]:
     probability weight. Only the kept amplitudes of `table` are read.
     """
     indices = _kept_positions(table.basis, kept)
-    probability = float(sum(abs(table.amplitudes[i]) ** 2 for i in indices))
-    if probability <= NEGLIGIBLE_AMPLITUDE ** 2:
-        raise ZeroProbabilityError("post-selection kept zero probability")
-    amps = np.zeros(len(table.basis), dtype=complex)
-    amps[indices] = table.amplitudes[indices]
-    state = QuantumState(table.basis, amps / math.sqrt(probability)).canonical()
-    return state, probability
+    return _project(table.basis, indices, table.amplitudes[indices])
 
 
 def select_outputs(matrix, state: QuantumState, kept) -> tuple[QuantumState, float]:
@@ -167,12 +168,9 @@ def select_outputs(matrix, state: QuantumState, kept) -> tuple[QuantumState, flo
     the kept output amplitudes instead of the full output table.
     """
     u = require_evolvable(matrix, state)
-    basis = state.basis
-    indices = _kept_positions(basis, kept)
-    amplitudes = np.zeros(len(basis), dtype=complex)
-    amplitudes[indices] = _output_amplitudes(u, [_terms(state)],
-                                             [basis.states[i] for i in indices])[0]
-    return post_select(QuantumState(basis, amplitudes), kept)
+    indices = _kept_positions(state.basis, kept)
+    (raw,) = _output_amplitudes(u, [state.terms()], [state.basis.states[i] for i in indices])
+    return _project(state.basis, indices, raw)
 
 
 def sweep_inputs(matrix, total_photons: int) -> list[tuple[FockState, NoonReport]]:

@@ -1,10 +1,11 @@
 """Independent oracles, kept away from the production code paths they check."""
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import replace
-from decimal import Decimal
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -116,16 +117,17 @@ def _times_linear(poly: dict, column) -> dict:
     return out
 
 
-def exact_squared_magnitudes(unitary, state: QuantumState) -> list[Fraction]:
-    """|<s|S|in>|^2 for each state s of the input's basis, in its order, exact for the
-    doubles of U (U[j, i] takes input port i to output port j) and of the input's
-    amplitudes.
+def exact_coefficients(unitary, state: QuantumState) -> tuple[list[tuple[int, int]], int]:
+    """([(re, im), ...], D) with <s|S|in> = (re + i im) sqrt(prod s_j! / D) for each state s
+    of the input's basis, in its order, exact for the doubles of U (U[j, i] takes input
+    port i to output port j) and of the input's amplitudes. The root is positive, so the
+    Gaussian integer re + i im carries each amplitude's exact phase.
 
     prod_i (sum_j U[j,i] adag_j)^(t_i) |0> is expanded over the monomials
     prod_j adag_j^(s_j) |0> = sqrt(prod s_j!) |s>, each entry of U an exact
     Gaussian integer over a power of two, so <s|S|t> = c_s sqrt(prod s_j! / prod t_i!)
-    with c_s exact. The input's terms must share prod t_i!; the sum over them then
-    squares to a rational with no root left in it.
+    with c_s exact. The input's terms must share prod t_i!, which D holds with the
+    squared powers of two.
     """
     u = np.asarray(unitary, dtype=complex)
     modes = u.shape[0]
@@ -143,9 +145,69 @@ def exact_squared_magnitudes(unitary, state: QuantumState) -> list[Fraction]:
         for s, (x, y) in poly.items():
             re, im = total[s]
             total[s] = (re + x * cr - y * ci, im + x * ci + y * cr)
-    denominator = weight << 2 * (e * state.basis.photons + f)
+    return list(total.values()), weight << 2 * (e * state.basis.photons + f)
+
+
+def exact_squared_magnitudes(unitary, state: QuantumState) -> list[Fraction]:
+    """|<s|S|in>|^2 for each state s of the input's basis, in its order: from
+    exact_coefficients, a rational with no root left in it."""
+    coefficients, denominator = exact_coefficients(unitary, state)
     return [Fraction(math.prod(map(math.factorial, s)) * (re * re + im * im), denominator)
-            for s, (re, im) in total.items()]
+            for s, (re, im) in zip(state.basis.states, coefficients)]
+
+
+@functools.cache
+def _decimal_pi() -> Decimal:
+    """pi to PHASE_DIGITS, the one precision it is called at (the `decimal` docs' recipe)."""
+    getcontext().prec += 2
+    three = Decimal(3)
+    lasts, t, s, n, na, d, da = 0, three, 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    getcontext().prec -= 2
+    return +s
+
+
+def _decimal_series(x: Decimal, first: int) -> Decimal:
+    """cos x (first = 0) or sin x (first = 1) by its Taylor series, the `decimal` docs' recipes."""
+    getcontext().prec += 2
+    i, lasts, s, fact, num, sign = first, 0, x ** first, 1, x ** first, 1
+    while s != lasts:
+        lasts = s
+        i += 2
+        fact *= i * (i - 1)
+        num *= x * x
+        sign *= -1
+        s += num / fact * sign
+    getcontext().prec -= 2
+    return +s
+
+
+PHASE_DIGITS = 40
+
+
+@functools.cache
+def _cos_sin_deg(degrees: Decimal) -> tuple[Decimal, Decimal]:
+    with localcontext() as ctx:
+        ctx.prec = PHASE_DIGITS
+        x = degrees * _decimal_pi() / 180
+        return _decimal_series(x, 0), _decimal_series(x, 1)
+
+
+def sine_past(coefficient: tuple[int, int], degrees: Decimal) -> Decimal:
+    """sin(arg c - beta) for the Gaussian integer c = re + i im and beta in degrees, to
+    PHASE_DIGITS digits: Im(c e^(-i beta)) / |c|, positive where c lies less than 180
+    degrees counterclockwise of the ray at beta. arg c lies within (lo, hi), hi - lo
+    < 180, exactly where sine_past(c, lo) > 0 > sine_past(c, hi)."""
+    re, im = coefficient
+    with localcontext() as ctx:
+        ctx.prec = PHASE_DIGITS
+        cos, sin = _cos_sin_deg(degrees)
+        return (im * cos - re * sin) / Decimal(re * re + im * im).sqrt()
 
 
 def bunched_amplitudes(unitary, occupations) -> np.ndarray:

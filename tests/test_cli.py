@@ -422,6 +422,16 @@ def test_noon_reads_only_bunched_amplitudes(run, monkeypatch):
     assert output == expected
 
 
+def test_noon_select_ranks_each_kept_state_once(run, monkeypatch):
+    index_of, calls = fock.FockBasis.index_of, []
+    monkeypatch.setattr(fock.FockBasis, "index_of",
+                        lambda self, state: calls.append(state) or index_of(self, state))
+    code, _ = run("noon", "--matrix", SPLITTER_II_PATH, "--input", "1,1,1,1",
+                  "--select", "4,0,0,0;0,4,0,0;0,0,4,0")
+    assert code == 0
+    assert calls == [(1, 1, 1, 1), (4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0)]
+
+
 def test_noon_select_reads_only_kept_amplitudes(run, monkeypatch):
     argv = ("noon", "--matrix", SPLITTER_II_PATH, "--input", "0,0,1,1",
             "--select", "1,1,0,0;0,0,1,1", "--json")

@@ -385,6 +385,31 @@ def test_canonical_global_phase():
     assert canonical.amplitudes[1] == pytest.approx(-1j / math.sqrt(2))
 
 
+_SPARSE_PART = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, fock.NEGLIGIBLE_AMPLITUDE]),
+                        st.floats(1e-13, 1e-11), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 19), st.builds(complex, _SPARSE_PART, _SPARSE_PART),
+                       max_size=6))
+def test_terms_are_the_zip_and_filter_of_the_amplitudes(entries):
+    """terms(0) keeps each nonzero amplitude and terms(NEGLIGIBLE_AMPLITUDE) each above
+    it, in basis order, as the numpy scalars indexing reads, bit for bit. terms reads
+    np.abs, which can differ from the scalar abs in the last bit; only a magnitude
+    within that bit of the threshold could tell them apart."""
+    basis = enumerate_basis(4, 3)
+    amps = np.zeros(len(basis), dtype=complex)
+    amps[list(entries)] = list(entries.values())
+    state = QuantumState(basis, amps)
+    pairs = list(zip(basis.states, state.amplitudes))
+    low = fock.NEGLIGIBLE_AMPLITUDE
+    for held, expected in [(state.terms(), [(s, a) for s, a in pairs if a != 0]),
+                           (state.terms(low), [(s, a) for s, a in pairs if abs(a) > low])]:
+        assert [s for s, _ in held] == [s for s, _ in expected]
+        assert [(type(a), a.tobytes()) for _, a in held] == \
+            [(type(a), a.tobytes()) for _, a in expected]
+
+
 def test_normalized_rejects_zero():
     basis = enumerate_basis(2, 1)
     state = QuantumState(basis, np.zeros(2))

@@ -86,6 +86,25 @@ def test_kept_states_follow_the_occupation_rule(operator_ii, pair_table, bad):
         noon.select_outputs(operator_ii, pair_table.input, [bad])
 
 
+@pytest.mark.parametrize("kept", [None, 5], ids=["None", "int"])
+def test_the_kept_list_is_a_sequence(operator_ii, pair_table, kept):
+    match = f"kept states must be a sequence of occupations, got {kept}"
+    with pytest.raises(ShapeError, match=match):
+        post_select(pair_table, kept)
+    with pytest.raises(ShapeError, match=match):
+        noon.select_outputs(operator_ii, pair_table.input, kept)
+
+
+def test_a_kept_iterator_is_read_once(operator_ii, pair_table):
+    kept = [(1, 1, 0, 0), (0, 0, 1, 1)]
+    for select in [lambda kept: post_select(pair_table, kept),
+                   lambda kept: noon.select_outputs(operator_ii, pair_table.input, kept)]:
+        state, probability = select(iter(kept))
+        expected, expected_probability = select(kept)
+        assert probability == expected_probability
+        assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+
 @pytest.mark.parametrize("name", ["splitter_i", "splitter_ii"])
 def test_select_outputs_equals_post_select_of_the_table(name, request):
     u = evolution_operator(unitarize(request.getfixturevalue(name)))
