@@ -256,6 +256,16 @@ def require_evolvable(matrix, state: QuantumState) -> np.ndarray:
     return u
 
 
+def _output_amplitudes(u: np.ndarray, state: QuantumState, targets) -> np.ndarray:
+    """The amplitudes of the `targets` output states of `state` through the checked `u`:
+    its (occupations, coeff) terms summed from zero in their order."""
+    amplitudes = np.zeros(len(targets), dtype=complex)
+    for occ_in, coeff in state.terms():
+        for j, target in enumerate(targets):
+            amplitudes[j] += coeff * transition_amplitude(u, occ_in, target)
+    return amplitudes
+
+
 def evolve_state(matrix, state: QuantumState) -> TransitionTable:
     """Evolve a normalized state through a unitary multiport.
 
@@ -263,12 +273,8 @@ def evolve_state(matrix, state: QuantumState) -> TransitionTable:
     input components; unitarity conserves the norm.
     """
     u = require_evolvable(matrix, state)
-    basis = state.basis
-    amplitudes = np.zeros(len(basis), dtype=complex)
-    for occ_in, coeff in state.terms():
-        for idx, occ_out in enumerate(basis.states):
-            amplitudes[idx] += coeff * transition_amplitude(u, occ_in, occ_out)
-    return TransitionTable(basis, amplitudes, input=state)
+    return TransitionTable(state.basis, _output_amplitudes(u, state, state.basis.states),
+                           input=state)
 
 
 def _generator_entries(a: np.ndarray, basis: FockBasis):

@@ -7,7 +7,9 @@ form (sum |c_j|)^2 / (K sum |c_j|^2), which is 1 exactly when the magnitudes
 are equal. A report therefore needs only the K bunched output amplitudes. One
 scorer turns a matrix of them, a row per input, into reports in one array pass:
 sweep_inputs scores every input at once, noon_report and extract_noon one row.
-select_outputs likewise computes only the output amplitudes a post-selection keeps.
+noon_report and select_outputs have evolve's one loop over a state's terms sum
+only the output amplitudes they read; each sweep input is a single ket, so
+sweep_inputs calls transition_amplitude once per bunched output.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 
 from . import serialize
 from .errors import ShapeError, SpecError, ZeroProbabilityError
-from .evolve import (TransitionTable, require_evolvable, require_permanent_size,
-                     transition_amplitude)
+from .evolve import (TransitionTable, _output_amplitudes, require_evolvable,
+                     require_permanent_size, transition_amplitude)
 from .fock import (NEGLIGIBLE_AMPLITUDE, FockBasis, FockState, QuantumState, _whole,
                    amplitude_rows, enumerate_basis, format_occupations, phases_deg,
                    rank_descending)
@@ -69,17 +71,6 @@ def noon_components(basis: FockBasis) -> list[FockState]:
     return list(_noon_states(basis.photons, basis.modes))
 
 
-def _output_amplitudes(u: np.ndarray, inputs, targets) -> np.ndarray:
-    """The amplitudes of the `targets` output states from each input, a row each: its
-    (occupations, coeff) terms summed from zero in their order, as evolve_state sums."""
-    raw = np.zeros((len(inputs), len(targets)), dtype=complex)
-    for row, terms in zip(raw, inputs):
-        for occ_in, coeff in terms:
-            for j, target in enumerate(targets):
-                row[j] += coeff * transition_amplitude(u, occ_in, target)
-    return raw
-
-
 def _score(raw: np.ndarray, photons: int) -> list[NoonReport]:
     """One NoonReport per row of bunched amplitudes, every row in one array pass; a row of
     at most NEGLIGIBLE_AMPLITUDE ** 2 bunched probability gets the zero-success placeholder."""
@@ -117,8 +108,8 @@ def noon_report(matrix, state: QuantumState) -> NoonReport:
     """
     u = require_evolvable(matrix, state)
     photons = state.basis.photons
-    raw = _output_amplitudes(u, [state.terms()], _noon_states(photons, u.shape[0]))
-    return _single_report(raw, photons)
+    raw = _output_amplitudes(u, state, _noon_states(photons, u.shape[0]))
+    return _single_report(raw[None], photons)
 
 
 def extract_noon(table: TransitionTable) -> NoonReport:
@@ -169,7 +160,7 @@ def select_outputs(matrix, state: QuantumState, kept) -> tuple[QuantumState, flo
     """
     u = require_evolvable(matrix, state)
     indices = _kept_positions(state.basis, kept)
-    (raw,) = _output_amplitudes(u, [state.terms()], [state.basis.states[i] for i in indices])
+    raw = _output_amplitudes(u, state, [state.basis.states[i] for i in indices])
     return _project(state.basis, indices, raw)
 
 
@@ -190,7 +181,7 @@ def sweep_inputs(matrix, total_photons: int) -> list[tuple[FockState, NoonReport
     require_permanent_size(total_photons)
     u = require_unitary(matrix)
     inputs = enumerate_basis(u.shape[0], total_photons).states[::-1]
-    raw = _output_amplitudes(u, [[(occ, 1)] for occ in inputs],
-                             _noon_states(total_photons, u.shape[0]))
+    targets = _noon_states(total_photons, u.shape[0])
+    raw = np.array([[transition_amplitude(u, occ, t) for t in targets] for occ in inputs])
     reports = _score(raw, total_photons)
     return rank_descending(list(zip(inputs, reports)), [r.success_probability for r in reports])

@@ -20,7 +20,7 @@ from .errors import InputError, NoonforgeError
 from .evolve import evolution_operator, evolve_state
 from .fock import QuantumState, enumerate_basis
 from .noon import extract_noon, post_select, sweep_inputs
-from .unitary import MatrixFile, load_matrix, unitarize, validate_symmetry
+from .unitary import MatrixFile, _wrap_degrees, load_matrix, unitarize, validate_symmetry
 
 SPLITTER_I = "splitter_i"
 SPLITTER_II = "splitter_ii"
@@ -144,7 +144,7 @@ def _relative_phase_claim(name: str, computed: dict, quoted: dict,
     worst = 0.0
     for occ in dominant:
         dev = math.degrees(np.angle(computed[occ])) - quoted[occ][1] - offset
-        worst = max(worst, abs((dev + 180.0) % 360.0 - 180.0))
+        worst = max(worst, abs(_wrap_degrees(dev)))
     return Claim(name, worst <= tol_deg,
                  f"worst relative-phase deviation {worst:.2f} deg "
                  f"({len(dominant)} components above magnitude {floor})",

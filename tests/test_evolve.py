@@ -183,6 +183,11 @@ def test_non_square_matrix_rejected(call):
         call(np.ones((2, 3)))
 
 
+def test_fock_hamiltonian_rejects_a_coupling_of_another_mode_count():
+    with pytest.raises(ShapeError, match="coupling matrix has 3 modes, basis has 2"):
+        fock_hamiltonian(np.eye(3), enumerate_basis(2, 1))
+
+
 # --- transition_amplitude ----------------------------------------------------
 
 def test_hom_dip(hadamard_splitter):

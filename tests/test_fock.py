@@ -159,6 +159,10 @@ def test_env_cap_override(monkeypatch):
     monkeypatch.setenv("NOONFORGE_CAP", "banana")
     with pytest.raises(InputError):
         enumerate_basis(4, 2)
+    for cap in ("0", "-3"):
+        monkeypatch.setenv("NOONFORGE_CAP", cap)
+        with pytest.raises(InputError, match="must be positive"):
+            enumerate_basis(4, 2)
 
 
 # --- shared bases --------------------------------------------------------------
@@ -377,12 +381,25 @@ def test_basis_counts_follow_the_occupation_rule(modes, photons):
     with pytest.raises(ShapeError, match="mode and photon counts must be"):
         enumerate_basis(modes, photons)
 
+
+def test_basis_needs_a_mode():
+    with pytest.raises(InputError, match="mode count must be at least 1"):
+        FockBasis(0, 1)
+    with pytest.raises(InputError, match="mode count must be at least 1"):
+        enumerate_basis(0, 1)
+
+
 def test_canonical_global_phase():
     basis = enumerate_basis(2, 1)
     state = QuantumState(basis, np.array([1j, 1.0]) / math.sqrt(2))
     canonical = state.canonical()
     assert canonical.amplitudes[0] == pytest.approx(1 / math.sqrt(2))
     assert canonical.amplitudes[1] == pytest.approx(-1j / math.sqrt(2))
+
+
+def test_canonical_of_a_state_with_no_held_amplitude_is_that_state():
+    state = QuantumState(enumerate_basis(2, 1), np.array([fock.NEGLIGIBLE_AMPLITUDE, 0j]))
+    assert state.canonical() is state
 
 
 _SPARSE_PART = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, fock.NEGLIGIBLE_AMPLITUDE]),

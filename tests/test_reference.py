@@ -8,6 +8,8 @@ against an independent transcription kept in this file.
 import hashlib
 from importlib import resources
 
+import pytest
+
 from noonforge import reference
 
 import test_acceptance
@@ -59,6 +61,11 @@ def test_splitter_metadata():
     assert float(mf2.meta["wavelength_nm"]) == 1523.3
     assert mf1.meta["subspace"] == "I"
     assert mf2.meta["subspace"] == "II"
+
+
+def test_unknown_bundled_matrix_is_a_key_error():
+    with pytest.raises(KeyError, match="splitter_iii"):
+        reference.bundled_matrix("splitter_iii")
 
 
 def test_reference_tables_match_frozen_acceptance_values():

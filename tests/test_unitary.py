@@ -58,9 +58,12 @@ def test_polar_entry_matches_complex_arithmetic():
     assert m[1, 0] == pytest.approx(0.44 * np.exp(-1j * 27 * np.pi / 180))
 
 
-def test_polar_entry_rejects_negative_magnitude():
+@pytest.mark.parametrize("magnitude, phase", [(Decimal("-0.5"), Decimal("0")),
+                                              (Decimal("Infinity"), 0),
+                                              (1, Decimal("NaN"))], ids=repr)
+def test_polar_entry_rejects_negative_or_non_finite_values(magnitude, phase):
     with pytest.raises(MatrixFileError):
-        PolarEntry(Decimal("-0.5"), Decimal("0"))
+        PolarEntry(magnitude, phase)
 
 
 @pytest.mark.parametrize("bad", ["abc", [[1, 2], [3]], [[1, {}], [0, 1]], [[10 ** 400]]],
