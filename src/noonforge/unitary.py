@@ -76,18 +76,14 @@ def as_complex(values) -> np.ndarray:
 
 
 def require_square(matrix) -> np.ndarray:
-    """`matrix` as a complex array; ShapeError unless it is square.
+    """`matrix` as a complex array; ShapeError unless it is square with finite entries.
 
-    Only the shape is checked, so the per-amplitude calls can afford it.
+    The one matrix check: every entry point that takes a matrix calls it, bar
+    `transition_amplitude`, which runs once per amplitude and checks the shape alone.
     """
     m = as_complex(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def _finite_square(matrix) -> np.ndarray:
-    m = require_square(matrix)
     if not np.all(np.isfinite(m)):
         raise ShapeError("matrix entries must be finite")
     return m
@@ -95,13 +91,13 @@ def _finite_square(matrix) -> np.ndarray:
 
 def unitarity_defect(matrix) -> float:
     """Frobenius norm of M^H M - I; zero iff M is exactly unitary."""
-    m = _finite_square(matrix)
+    m = require_square(matrix)
     return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
 
 
 def max_unitarity_defect(matrix) -> float:
     """Max-entry norm of M^H M - I (the per-entry unitarity tolerance)."""
-    m = _finite_square(matrix)
+    m = require_square(matrix)
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
@@ -110,7 +106,7 @@ def require_unitary(matrix) -> np.ndarray:
 
     The tolerance is per entry: max |M^H M - I| <= UNITARY_TOL.
     """
-    m = require_square(matrix)
+    m = as_complex(matrix)
     defect = max_unitarity_defect(m)
     if defect > UNITARY_TOL:
         raise NotUnitaryError(
@@ -120,7 +116,7 @@ def require_unitary(matrix) -> np.ndarray:
 
 def require_hermitian(matrix) -> np.ndarray:
     """`matrix` as a complex array; NotHermitianError unless A = A^H."""
-    a = _finite_square(matrix)
+    a = require_square(matrix)
     if np.max(np.abs(a - a.conj().T)) > HERMITIAN_TOL:
         raise NotHermitianError("matrix must be Hermitian")
     return a
@@ -133,7 +129,7 @@ def unitarize(matrix) -> np.ndarray:
     unitary, and it keeps per-entry deviations small enough that amplitudes
     computed from rounded scattering data stay reproducible.
     """
-    m = _finite_square(matrix)
+    m = require_square(matrix)
     w, s, vh = np.linalg.svd(m)
     if s[0] == 0.0 or s[-1] < 1e-12 * s[0]:
         raise SingularMatrixError("matrix is singular; no unitary polar factor")
@@ -168,7 +164,7 @@ def validate_symmetry(matrix, tol_mag: float, tol_phase_deg: float) -> list:
     for name, tol in (("tol_mag", tol_mag), ("tol_phase_deg", tol_phase_deg)):
         if not (math.isfinite(tol) and tol >= 0):
             raise InputError(f"{name} must be finite and non-negative, got {tol}")
-    m = _finite_square(matrix)
+    m = require_square(matrix)
     if m.shape[0] != 4:
         raise ShapeError(f"shared-process pairs are defined for 4x4 matrices, got {m.shape}")
     mismatched = []
@@ -237,7 +233,7 @@ class MatrixFile:
 
     @classmethod
     def from_array(cls, matrix, label: str, meta: dict | None = None) -> "MatrixFile":
-        m = _finite_square(matrix)
+        m = require_square(matrix)
         entries = tuple(
             PolarEntry(Decimal(repr(float(abs(v)))),
                        Decimal(repr(float(np.angle(v, deg=True)))))

@@ -74,9 +74,14 @@ def test_raise_table_positions_t_plus_e_j(modes, photons):
     index = {state: i for i, state in enumerate(basis.states)}
     lower = FockBasis(modes, photons - 1).states if photons else ()
     expected = [[index[t[:j] + (t[j] + 1,) + t[j + 1:]] for j in range(modes)] for t in lower]
-    raised = basis.ladder[0]
+    raised, root, lowered = basis.ladder
     assert raised.shape == (modes, len(lower))
     assert raised.T.tolist() == expected
+    assert root.T.tolist() == [[math.sqrt(n + 1) for n in t] for t in lower]
+    flat = {state: i for i, state in enumerate(lower)}
+    assert lowered.T.tolist() == [
+        [j * len(lower) + flat[s[:j] + (s[j] - 1,) + s[j + 1:]] if s[j] else raised.size
+         for j in range(modes)] for s in basis.states]
 
 
 def test_occupations_and_raise_table_are_read_only():

@@ -145,13 +145,12 @@ _MATRIX_ENTRY_POINTS = {
 }
 
 
-# These check only that the matrix is square, so an infinite entry reaches numpy,
-# which warns on inf - inf; a nan entry passes through silently and returns nan.
+# transition_amplitude checks only that the matrix is square, so an infinite entry
+# reaches numpy, which warns on inf - inf; a nan entry passes through silently.
 _UNCHECKED_FINITENESS = pytest.mark.xfail(
     strict=True, raises=RuntimeWarning,
-    reason="square-only entry points compute on infinite entries")
-_UNCHECKED = {("transition_amplitude", "non-finite"), ("permanent", "non-finite"),
-              ("fock_hamiltonian", "non-finite")}
+    reason="the square-only entry point computes on infinite entries")
+_UNCHECKED = {("transition_amplitude", "non-finite")}
 
 
 @pytest.mark.parametrize("entry,bad", [
@@ -165,3 +164,15 @@ def test_a_bad_array_returns_or_raises_a_package_error(entry, bad):
             entry(bad)
         except NoonforgeError:
             pass
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("entry", [
+    permanent,
+    lambda m: permanent(m, (1, 1)),
+    lambda m: fock_hamiltonian(m, enumerate_basis(2, 2)),
+    evolution_operator,
+], ids=["permanent", "permanent counts", "fock_hamiltonian", "evolution_operator"])
+def test_one_non_finite_entry_is_a_shape_error(entry, bad):
+    with pytest.raises(ShapeError, match="^matrix entries must be finite$"):
+        entry(np.array([[1, bad], [0, 1]]))
