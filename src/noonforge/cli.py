@@ -33,7 +33,7 @@ from .errors import InputError, NumericError
 from .evolve import evolve_state, require_permanent_size
 from .fock import (NEGLIGIBLE_AMPLITUDE, QuantumState, amplitude_rows, format_occupations,
                    parse_occupations, parse_spec, printed_phases, state_from_kets)
-from .noon import noon_components, noon_report, select_outputs, sweep_inputs
+from .noon import noon_components, noon_report, post_select, sweep_inputs
 from .reference import operator_from_file, reproduction_claims
 from .unitary import MatrixFile, load_matrix, save_matrix, unitarity_defect, unitarize
 
@@ -100,7 +100,7 @@ def cmd_noon(args: argparse.Namespace, mf: MatrixFile) -> int:
     if args.select is not None:
         kept = list(dict.fromkeys(
             parse_occupations(part) for part in args.select.split(";") if part.strip()))
-        selected, probability = select_outputs(u, state, kept)
+        selected, probability = post_select(evolve_state(u, state), kept)
         components = selected.terms(NEGLIGIBLE_AMPLITUDE)
         if args.json:
             payload = {

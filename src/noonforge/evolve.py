@@ -16,6 +16,7 @@ second-quantized generator's exact spectral interval [n lambda_min(A), n lambda_
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -360,12 +361,14 @@ def _spectral_interval(a: np.ndarray, photons: int) -> tuple[float, float]:
     That generator is dGamma(A), whose spectrum for Hermitian A is exactly
     [n lambda_min(A), n lambda_max(A)]. eigvalsh reads a Hermitian L with
     |A - L| <= |A - A^H| (A's lower triangle), so by Bauer-Fike the ends move
-    by at most n ||A - A^H||_F; they are widened by that and by rounding.
+    by at most n ||A - A^H||_F; they are widened by that and by rounding. The ends
+    are Python floats, so an end past the double range is inf, without a warning.
     """
     lam = np.linalg.eigvalsh(a)
-    rounding = 16 * len(a) * np.finfo(float).eps * np.max(np.abs(lam))
-    pad = photons * (np.linalg.norm(a - a.conj().T) + rounding)
-    return float(photons * lam[0] - pad), float(photons * lam[-1] + pad)
+    lo, hi = float(lam[0]), float(lam[-1])
+    rounding = 16 * len(a) * sys.float_info.epsilon * max(abs(lo), abs(hi))
+    pad = photons * (float(np.linalg.norm(a - a.conj().T)) + rounding)
+    return photons * lo - pad, photons * hi + pad
 
 
 def _propagate(a: np.ndarray, basis: FockBasis, vector: np.ndarray) -> np.ndarray:
@@ -379,9 +382,9 @@ def _propagate(a: np.ndarray, basis: FockBasis, vector: np.ndarray) -> np.ndarra
     c_0 .. c_(K-1). Past the order half, J_k(half) decays on a scale of
     (half/2)^(1/3); for K = half + 12 half^(1/3) + 32 every J_k with k >= K is
     below 1e-20 (checked against scipy.special.jv for half up to 1e5), so
-    neither truncation nor aliasing shows. ShapeError if the interval
-    overflows; a K whose estimated work exceeds HAMILTONIAN_WORK_CAP is refused
-    before any table is built. The Chebyshev recurrence ends after the last
+    neither truncation nor aliasing shows. A K whose estimated work exceeds
+    HAMILTONIAN_WORK_CAP, as for an interval that overflows, is refused before
+    any table is built. The Chebyshev recurrence ends after the last
     coefficient above CHEBYSHEV_CUTOFF (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
     3967, 1984).
     """
@@ -389,8 +392,6 @@ def _propagate(a: np.ndarray, basis: FockBasis, vector: np.ndarray) -> np.ndarra
     lo, hi = _spectral_interval(a, n)
     half = (hi - lo) / 2
     mid = lo + half  # finite wherever half is
-    if not np.isfinite(half):
-        raise ShapeError("matrix entries must be finite")
     if half < np.finfo(float).tiny:  # h is mid to within 1e-307, as for n = 0, where h = 0
         return np.exp(-1j * mid) * vector
     reach = half + 12 * np.cbrt(half)

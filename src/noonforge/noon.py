@@ -7,9 +7,10 @@ form (sum |c_j|)^2 / (K sum |c_j|^2), which is 1 exactly when the magnitudes
 are equal. A report therefore needs only the K bunched output amplitudes. One
 scorer turns a matrix of them, a row per input, into reports in one array pass:
 sweep_inputs scores every input at once, noon_report and extract_noon one row.
-noon_report and select_outputs have evolve's one loop over a state's terms sum
-only the output amplitudes they read; each sweep input is a single ket, so
-sweep_inputs calls transition_amplitude once per bunched output.
+noon_report has evolve's one loop over a state's terms sum only the K bunched
+output amplitudes; each sweep input is a single ket, so sweep_inputs calls
+transition_amplitude once per bunched output. Any other post-selection reads
+an evolved table through post_select.
 """
 
 from __future__ import annotations
@@ -118,50 +119,32 @@ def extract_noon(table: TransitionTable) -> NoonReport:
     return _single_report(raw, table.basis.photons)
 
 
-def _kept_positions(basis: FockBasis, kept) -> list[int]:
-    """Positions of the distinct kept states in `basis`; ShapeError unless `kept` is a
-    sequence of whole states (fock._whole), SpecError if there are none or one is not in it."""
+def post_select(table: QuantumState, kept) -> tuple[QuantumState, float]:
+    """Project a table onto the kept states and renormalize.
+
+    Returns the renormalized state (canonical global phase) and the kept
+    probability weight. Only the kept amplitudes of `table` are read, and each
+    distinct kept state is ranked once. ShapeError unless `kept` is a sequence of
+    whole states (fock._whole); SpecError if it holds none or one is not in the
+    table's basis; ZeroProbabilityError if the kept weight is negligible.
+    """
     if not np.iterable(kept):
         raise ShapeError(f"kept states must be a sequence of occupations, got {kept!r}")
     states = list(dict.fromkeys(_whole(occ, "kept occupations") for occ in kept))
     if not states:
         raise SpecError("post-selection must keep at least one state")
+    basis = table.basis
     try:
-        return [basis.index_of(occ) for occ in states]
+        indices = [basis.index_of(occ) for occ in states]
     except KeyError as exc:
         raise SpecError(f"selected state {exc.args[0]} is not in the table's basis") from None
-
-
-def _project(basis: FockBasis, indices: list[int], amplitudes) -> tuple[QuantumState, float]:
-    """`amplitudes` at `indices` of `basis`, renormalized to canonical phase, and their weight."""
+    amplitudes = table.amplitudes[indices]
     probability = float(sum(abs(amp) ** 2 for amp in amplitudes))
     if probability <= NEGLIGIBLE_AMPLITUDE ** 2:
         raise ZeroProbabilityError("post-selection kept zero probability")
     amps = np.zeros(len(basis), dtype=complex)
     amps[indices] = amplitudes
     return QuantumState(basis, amps / math.sqrt(probability)).canonical(), probability
-
-
-def post_select(table: QuantumState, kept) -> tuple[QuantumState, float]:
-    """Project a table onto the kept states and renormalize.
-
-    Returns the renormalized state (canonical global phase) and the kept
-    probability weight. Only the kept amplitudes of `table` are read.
-    """
-    indices = _kept_positions(table.basis, kept)
-    return _project(table.basis, indices, table.amplitudes[indices])
-
-
-def select_outputs(matrix, state: QuantumState, kept) -> tuple[QuantumState, float]:
-    """post_select of a normalized state sent through a unitary multiport.
-
-    Equal to post_select(evolve_state(matrix, state), kept), but computes only
-    the kept output amplitudes instead of the full output table.
-    """
-    u = require_evolvable(matrix, state)
-    indices = _kept_positions(state.basis, kept)
-    raw = _output_amplitudes(u, state, [state.basis.states[i] for i in indices])
-    return _project(state.basis, indices, raw)
 
 
 def sweep_inputs(matrix, total_photons: int) -> list[tuple[FockState, NoonReport]]:

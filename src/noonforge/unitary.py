@@ -89,16 +89,25 @@ def require_square(matrix) -> np.ndarray:
     return m
 
 
+def _defect(matrix, norm) -> float:
+    """`norm` of M^H M - I; NotUnitaryError where it overflows, which it does only for
+    entries far above a unitary's bound of 1, and then without a warning."""
+    m = require_square(matrix)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(norm(m.conj().T @ m - np.eye(m.shape[0])))
+    if not math.isfinite(defect):
+        raise NotUnitaryError("matrix is not unitary (its unitarity defect overflows)")
+    return defect
+
+
 def unitarity_defect(matrix) -> float:
     """Frobenius norm of M^H M - I; zero iff M is exactly unitary."""
-    m = require_square(matrix)
-    return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
+    return _defect(matrix, np.linalg.norm)
 
 
 def max_unitarity_defect(matrix) -> float:
     """Max-entry norm of M^H M - I (the per-entry unitarity tolerance)."""
-    m = require_square(matrix)
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    return _defect(matrix, lambda d: np.max(np.abs(d)))
 
 
 def require_unitary(matrix) -> np.ndarray:

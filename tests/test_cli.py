@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noonforge import MatrixFile, cli, evolve, fock, noon, reference, save_matrix, serialize
+from noonforge import MatrixFile, cli, fock, noon, reference, save_matrix, serialize
 from noonforge.cli import main
 from noonforge.fock import state_from_spec
 
@@ -120,6 +120,19 @@ def test_unitarize_singular_matrix(run, tmp_path):
     code, _ = run("unitarize", "--matrix", str(path),
                   "--out", str(tmp_path / "out.json"))
     assert code == 3
+
+
+def test_unitarize_refuses_a_matrix_whose_defect_overflows(tmp_path, capsys, splitter_ii):
+    # Splitter II's magnitudes times 1e155: M^H M overflows, so no defect can be printed.
+    path, out_path = tmp_path / "huge.json", tmp_path / "out.json"
+    save_matrix(path, MatrixFile.from_array(splitter_ii * 1e155, "splitter II x 1e155"))
+    code = main(["unitarize", "--json", "--matrix", str(path), "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("noonforge: numeric failure: matrix is not unitary "
+                            "(its unitarity defect overflows)\n")
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -430,23 +443,6 @@ def test_noon_select_ranks_each_kept_state_once(run, monkeypatch):
                   "--select", "4,0,0,0;0,4,0,0;0,0,4,0")
     assert code == 0
     assert calls == [(1, 1, 1, 1), (4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0)]
-
-
-def test_noon_select_reads_only_kept_amplitudes(run, monkeypatch):
-    argv = ("noon", "--matrix", SPLITTER_II_PATH, "--input", "0,0,1,1",
-            "--select", "1,1,0,0;0,0,1,1", "--json")
-    _, expected = run(*argv)
-
-    def refuse(*args):
-        raise AssertionError("noon --select evolved the full table")
-
-    permanent, calls = evolve.permanent, []
-    monkeypatch.setattr(cli, "evolve_state", refuse)
-    monkeypatch.setattr(evolve, "permanent", lambda *args: calls.append(1) or permanent(*args))
-    code, output = run(*argv)
-    assert code == 0
-    assert output == expected
-    assert len(calls) == 2
 
 
 def test_noon_two_port_splitter(run, symmetric2):

@@ -893,11 +893,17 @@ def test_generator_check_counts_a_missing_mirror_block_as_zero():
     assert abs(out.norm() - 1.0) <= 1e-9
 
 
-def test_generator_check_refuses_non_finite_entries():
-    a = np.array([[1e308, 0.0], [0.0, 0.0]])
-    state = QuantumState.from_occupations(enumerate_basis(2, 3), (3, 0))
-    with np.errstate(over="ignore"), pytest.raises(ShapeError, match="finite"):
-        evolve_state_hamiltonian(a, state)
+@pytest.mark.parametrize("diagonal, occupations", [
+    ([1e308, 0.0], (3, 0)),
+    ([1e308, -1e308], (1, 1)),
+    ([1e308, 1e308], (1, 1)),  # both ends of the interval overflow
+], ids=["one-end", "both-signs", "both-ends"])
+def test_hamiltonian_route_refuses_an_interval_that_overflows(diagonal, occupations):
+    # Every entry is finite, but n lambda overflows: the work estimate refuses the
+    # series, without a warning, before any table is built.
+    state = QuantumState.from_occupations(enumerate_basis(2, sum(occupations)), occupations)
+    with pytest.raises(CapacityError, match="Chebyshev terms"):
+        evolve_state_hamiltonian(np.diag(diagonal), state)
 
 
 @pytest.mark.parametrize("modes,photons", [(m, n) for m in range(1, 6) for n in range(9)])

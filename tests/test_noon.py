@@ -1,4 +1,3 @@
-import itertools
 import warnings
 
 import numpy as np
@@ -23,7 +22,7 @@ from noonforge import (
     sweep_inputs,
     unitarize,
 )
-from noonforge import evolve, noon
+from noonforge import noon
 from noonforge.noon import noon_components
 
 from oracles import (apply_phase_shifts, fidelity_against, fourier_hadamard_unitary,
@@ -79,70 +78,37 @@ def test_selection_validation(pair_table):
 
 @pytest.mark.parametrize("bad", [None, 5, (1.0, 1, 0, 0), (True, 1, 0, 0), (1, 1, 0, -0.0)],
                          ids=["None", "int", "float", "bool", "negative-zero"])
-def test_kept_states_follow_the_occupation_rule(operator_ii, pair_table, bad):
-    with pytest.raises(ShapeError, match="kept occupations must be"):
-        post_select(pair_table, [(0, 0, 1, 1), bad])
-    with pytest.raises(ShapeError, match="kept occupations must be"):
-        noon.select_outputs(operator_ii, pair_table.input, [bad])
+def test_kept_states_follow_the_occupation_rule(pair_table, bad):
+    for kept in [(0, 0, 1, 1), bad], [bad]:
+        with pytest.raises(ShapeError, match="kept occupations must be"):
+            post_select(pair_table, kept)
 
 
 @pytest.mark.parametrize("kept", [None, 5], ids=["None", "int"])
-def test_the_kept_list_is_a_sequence(operator_ii, pair_table, kept):
+def test_the_kept_list_is_a_sequence(pair_table, kept):
     match = f"kept states must be a sequence of occupations, got {kept}"
     with pytest.raises(ShapeError, match=match):
         post_select(pair_table, kept)
-    with pytest.raises(ShapeError, match=match):
-        noon.select_outputs(operator_ii, pair_table.input, kept)
 
 
-def test_a_kept_iterator_is_read_once(operator_ii, pair_table):
+def test_a_kept_iterator_is_read_once(pair_table):
     kept = [(1, 1, 0, 0), (0, 0, 1, 1)]
-    for select in [lambda kept: post_select(pair_table, kept),
-                   lambda kept: noon.select_outputs(operator_ii, pair_table.input, kept)]:
-        state, probability = select(iter(kept))
-        expected, expected_probability = select(kept)
-        assert probability == expected_probability
-        assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
+    state, probability = post_select(pair_table, iter(kept))
+    expected, expected_probability = post_select(pair_table, kept)
+    assert probability == expected_probability
+    assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
 
-@pytest.mark.parametrize("name", ["splitter_i", "splitter_ii"])
-def test_select_outputs_equals_post_select_of_the_table(name, request):
-    u = evolution_operator(unitarize(request.getfixturevalue(name)))
-    pair = state_from_spec("0,0,1,1")[1]
-    superposed = state_from_spec("0.6*|2,0,0,0> + 0.8@30*|0,1,1,0>")[1]
-    cases = [(pair, [(1, 1, 0, 0), (0, 0, 1, 1)]),
-             (pair, [(0, 0, 1, 1), (1, 1, 0, 0), (0, 0, 1, 1)]),
-             (pair, noon_components(pair.basis)),
-             (pair, pair.basis.states),
-             (state_from_spec("3,0,0,0")[1], [(1, 1, 1, 0), (0, 0, 0, 3)]),
-             (superposed, [(1, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])]
-    for state, kept in cases:
-        selected, probability = noon.select_outputs(u, state, kept)
-        expected, expected_probability = post_select(evolve_state(u, state), kept)
-        assert probability == expected_probability
-        assert selected.basis is expected.basis
-        assert selected.amplitudes.tobytes() == expected.amplitudes.tobytes()
-
-
-def test_select_outputs_computes_only_the_kept_amplitudes(monkeypatch, operator_ii):
-    permanent, calls = evolve.permanent, []
-    monkeypatch.setattr(evolve, "permanent",
-                        lambda *args: calls.append(1) or permanent(*args))
-    noon.select_outputs(operator_ii, state_from_spec("0,0,1,1")[1],
-                        [(1, 1, 0, 0), (0, 0, 1, 1)])
-    assert len(calls) == 2
-
-
-def test_select_outputs_checks_like_post_select(operator_ii):
+def test_post_selection_of_an_evolved_state_names_what_it_refuses(operator_ii):
     state = state_from_spec("0,0,1,1")[1]
     with pytest.raises(SpecError, match="post-selection must keep at least one state"):
-        noon.select_outputs(operator_ii, state, [])
+        post_select(evolve_state(operator_ii, state), [])
     with pytest.raises(SpecError, match=r"selected state \(3, 0, 0, 0\) is not in the"):
-        noon.select_outputs(operator_ii, state, [(3, 0, 0, 0)])
+        post_select(evolve_state(operator_ii, state), [(3, 0, 0, 0)])
     with pytest.raises(ZeroProbabilityError, match="post-selection kept zero probability"):
-        noon.select_outputs(np.eye(4), state, [(2, 0, 0, 0), (0, 2, 0, 0)])
+        post_select(evolve_state(np.eye(4), state), [(2, 0, 0, 0), (0, 2, 0, 0)])
     with pytest.raises(NotUnitaryError):
-        noon.select_outputs(2 * np.eye(4), state, [(1, 1, 0, 0)])
+        post_select(evolve_state(2 * np.eye(4), state), [(1, 1, 0, 0)])
 
 
 # --- extract_noon ---------------------------------------------------------------
@@ -369,17 +335,21 @@ def test_sweep_tie_break_is_lexicographic():
 
 def test_sweep_ties_ignore_rounding_noise(monkeypatch, splitter_i):
     # Splitter I is symmetric, so many inputs tie exactly in success
-    # probability; perturbing every amplitude in its last bits must not
-    # reorder them, and tied inputs come in ascending order.
+    # probability; perturbing every bunched amplitude that is scored in its
+    # last bits must not reorder them, and tied inputs come in ascending order.
     u = evolution_operator(unitarize(splitter_i))
     expected = {n: sweep_inputs(u, n) for n in range(1, 7)}
     for rows in expected.values():
         for (occ_a, a), (occ_b, b) in zip(rows, rows[1:]):
             if a.success_probability - b.success_probability <= 1e-12:
                 assert occ_a < occ_b
-    exact, calls = noon.transition_amplitude, itertools.count(1)
-    monkeypatch.setattr(noon, "transition_amplitude",
-                        lambda *args: exact(*args) * (1 + next(calls) * 1e-15))
+    score = noon._score
+
+    def perturbed(raw, photons):
+        k = np.arange(1, raw.size + 1).reshape(raw.shape)
+        return score(raw * (1 + k * 1e-15), photons)
+
+    monkeypatch.setattr(noon, "_score", perturbed)
     for n, rows in expected.items():
         assert [occ for occ, _ in sweep_inputs(u, n)] == [occ for occ, _ in rows]
 

@@ -21,7 +21,6 @@ from noonforge import (FockBasis, InputError, NoonforgeError, QuantumState, Shap
                        evolve_state, evolve_state_hamiltonian, fock_hamiltonian, matrix_exp,
                        noon_report, permanent, post_select, sweep_inputs,
                        transition_amplitude, unitarity_defect, unitarize)
-from noonforge.noon import select_outputs
 
 from oracles import haar_unitary
 
@@ -95,7 +94,7 @@ def test_an_occupation_tuple_is_accepted_everywhere_or_nowhere(occ):
     _assert_one_verdict(_outcomes({
         "from_occupations": lambda: QuantumState.from_occupations(BASIS, occ),
         "post_select": lambda: post_select(TABLE, [occ]),
-        "select_outputs": lambda: select_outputs(U, STATE, [occ]),
+        "post_select of evolve_state": lambda: post_select(evolve_state(U, STATE), [occ]),
         "transition_amplitude input": lambda: transition_amplitude(U, occ, REFERENCE),
         "transition_amplitude output": lambda: transition_amplitude(U, REFERENCE, occ),
         "permanent counts": lambda: permanent(np.ones((PHOTONS, MODES)), occ),
@@ -130,7 +129,7 @@ _MATRIX_ENTRY_POINTS = {
     "evolve_state": lambda m: evolve_state(m, STATE),
     "evolve_state_hamiltonian": lambda m: evolve_state_hamiltonian(m, STATE),
     "noon_report": lambda m: noon_report(m, STATE),
-    "select_outputs": lambda m: select_outputs(m, STATE, [(1, 1, 0)]),
+    "post_select of evolve_state": lambda m: post_select(evolve_state(m, STATE), [(1, 1, 0)]),
     "sweep_inputs": lambda m: sweep_inputs(m, 2),
     "transition_amplitude": lambda m: transition_amplitude(m, (1, 1, 0), REFERENCE),
     "permanent": permanent,

@@ -99,6 +99,19 @@ def test_defect_splitter_ii_band(splitter_ii):
     assert defect == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e80, 1e155], ids=["norm-overflows", "gram-overflows"])
+def test_a_defect_that_overflows_is_refused_without_a_warning(operator_ii, scale):
+    # At 1e80 only the Frobenius norm's squares overflow; at 1e155 M^H M does too.
+    with pytest.raises(NotUnitaryError, match=r"^matrix is not unitary \(its unitarity "
+                       r"defect overflows\)$"):
+        unitarity_defect(operator_ii * scale)
+    if scale > 1e100:
+        for check in (max_unitarity_defect, require_unitary,
+                      lambda m: evolve_state(m, state_from_spec("1,1,0,0")[1])):
+            with pytest.raises(NotUnitaryError, match="defect overflows"):
+                check(operator_ii * scale)
+
+
 # --- unitarize --------------------------------------------------------------
 
 def test_unitarize_fixed_point():
