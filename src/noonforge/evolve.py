@@ -22,10 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, InputError, NotHermitianError, ShapeError
+from .errors import CapacityError, InputError, ShapeError
 from .fock import (CACHE_BYTES, BoundedCache, FockBasis, FockState, QuantumState, _whole,
                    amplitude_rows, rank_descending, state_to_spec)
-from .unitary import HERMITIAN_TOL, as_complex, require_hermitian, require_square, require_unitary
+from .unitary import as_complex, require_hermitian, require_square, require_unitary
 
 PERMANENT_CAP = 16
 # Most operations the Hamiltonian route's Chebyshev series may take, estimated
@@ -341,20 +341,6 @@ class _Generator(NamedTuple):
         return products.take(self.lowered).sum(axis=0)
 
 
-def _sparse_generator(a: np.ndarray, basis: FockBasis) -> _Generator:
-    """The generator of `a` on `basis`; NotHermitianError if max |H - H^H| > HERMITIAN_TOL.
-
-    For scale[m, n] = max_t sqrt(t_m+1) sqrt(t_n+1), |A[m,n] - conj A[n,m]|
-    scale[m,n] is the largest entry of H - H^H in block (m, n), a mirror block
-    left out where A[n,m] == 0 counting as zero; the diagonal's is 2n |Im A[m,m]|.
-    """
-    raised, root, lowered = basis.ladder
-    scale = np.max(root[:, None] * root[None], axis=2, initial=0.0)
-    if np.max(np.abs(a - a.conj().T) * scale) > HERMITIAN_TOL:
-        raise NotHermitianError("matrix must be Hermitian")
-    return _Generator(a, raised, root.astype(complex), lowered)
-
-
 def _spectral_interval(a: np.ndarray, photons: int) -> tuple[float, float]:
     """Ends of an interval holding the spectrum of the generator of `a` on n photons.
 
@@ -402,13 +388,14 @@ def _propagate(a: np.ndarray, basis: FockBasis, vector: np.ndarray) -> np.ndarra
             f"Hamiltonian route needs up to {reach + 32:.4g} Chebyshev terms of "
             f"{per_term} operations each on {dim} states, about {work:.3g} "
             f"operations; the cap is {HAMILTONIAN_WORK_CAP:.3g}")
-    h = _sparse_generator(a, basis)
     x = (a - mid / n * np.eye(len(a))) / half
     size = int(reach) + 32
     angles = np.pi * np.arange(2 * size) / size
     coeffs = np.fft.fft(np.exp(-1j * half * np.cos(angles)))[:size] / (2 * size)
     terms = int(np.flatnonzero(np.abs(coeffs) > CHEBYSHEV_CUTOFF)[-1]) + 1
-    h, double = h._replace(coupling=x), h._replace(coupling=2 * x)
+    raised, root, lowered = basis.ladder
+    h = _Generator(x, raised, root.astype(complex), lowered)
+    double = h._replace(coupling=2 * x)
     previous, current = vector, h @ vector
     total = coeffs[0] * previous + 2 * coeffs[1] * current
     for c in 2 * coeffs[2:terms]:
@@ -423,11 +410,11 @@ def evolve_state_hamiltonian(coupling, state: QuantumState) -> TransitionTable:
     A Chebyshev series on the generator's exact spectral interval, storing no
     generator entry and no dim x dim array; the cost grows with
     m^2 x dim x terms. Independent of the permanent path; the two must agree
-    to 1e-8 per amplitude for any Hermitian coupling. CapacityError, before
-    any table is built, for a series whose estimated work exceeds
-    HAMILTONIAN_WORK_CAP.
+    to 1e-8 per amplitude for any Hermitian coupling. Before any table is built,
+    NotHermitianError for a coupling require_hermitian refuses on the state's photons
+    and CapacityError for a series whose estimated work exceeds HAMILTONIAN_WORK_CAP.
     """
-    a = require_hermitian(coupling)
+    a = require_hermitian(coupling, state.basis.photons)
     _require_normalized_on(state, a.shape[0])
     amplitudes = _propagate(a, state.basis, state.amplitudes)
     return TransitionTable(state.basis, amplitudes, input=state)

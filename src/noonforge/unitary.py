@@ -107,7 +107,7 @@ def unitarity_defect(matrix) -> float:
 
 def max_unitarity_defect(matrix) -> float:
     """Max-entry norm of M^H M - I (the per-entry unitarity tolerance)."""
-    return _defect(matrix, lambda d: np.max(np.abs(d)))
+    return _defect(matrix, lambda d: np.max(np.abs(d), initial=0.0))
 
 
 def require_unitary(matrix) -> np.ndarray:
@@ -123,10 +123,20 @@ def require_unitary(matrix) -> np.ndarray:
     return m
 
 
-def require_hermitian(matrix) -> np.ndarray:
-    """`matrix` as a complex array; NotHermitianError unless A = A^H."""
+def require_hermitian(matrix, photons: int = 1) -> np.ndarray:
+    """`matrix` as a complex array; NotHermitianError unless sum_mk A[m,k] adag_m a_k on
+    `photons` photons (A itself on one, and on none) is Hermitian to HERMITIAN_TOL per entry.
+
+    Its block (m, k) holds A[m,k] sqrt(t_m+1) sqrt(t_k+1) for t of n-1 photons, at most
+    n where m = k and sqrt((n+2)//2) sqrt((n+1)//2) where not; an overflow is refused.
+    """
     a = require_square(matrix)
-    if np.max(np.abs(a - a.conj().T)) > HERMITIAN_TOL:
+    n = max(photons, 1)
+    scale = np.full(a.shape, math.sqrt((n + 2) // 2) * math.sqrt((n + 1) // 2))
+    np.fill_diagonal(scale, math.sqrt(n) * math.sqrt(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.max(np.abs(a - a.conj().T) * scale, initial=0.0)
+    if not defect <= HERMITIAN_TOL:
         raise NotHermitianError("matrix must be Hermitian")
     return a
 
@@ -140,7 +150,7 @@ def unitarize(matrix) -> np.ndarray:
     """
     m = require_square(matrix)
     w, s, vh = np.linalg.svd(m)
-    if s[0] == 0.0 or s[-1] < 1e-12 * s[0]:
+    if not s.size or s[0] == 0.0 or s[-1] < 1e-12 * s[0]:
         raise SingularMatrixError("matrix is singular; no unitary polar factor")
     return w @ vh
 

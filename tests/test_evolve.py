@@ -36,7 +36,7 @@ from noonforge import (
 )
 from noonforge import evolve, fock
 from noonforge.evolve import PERMANENT_CAP
-from noonforge.unitary import HERMITIAN_TOL, max_unitarity_defect
+from noonforge.unitary import HERMITIAN_TOL, max_unitarity_defect, require_hermitian
 
 from oracles import (bunched_amplitudes, fourier_unitary, haar_unitary, loop_fock_hamiltonian,
                      naive_permanent, random_fock_input, random_hermitian)
@@ -912,7 +912,8 @@ def test_sparse_mat_vec_matches_the_dense_generator(modes, photons):
     a = _coupling_with_zeros(modes, rng)
     basis = enumerate_basis(modes, photons)
     x = _random_state(basis, rng).amplitudes
-    h = evolve._sparse_generator(a, basis)
+    raised, root, lowered = basis.ladder
+    h = evolve._Generator(a, raised, root.astype(complex), lowered)
     assert np.max(np.abs(h @ x - fock_hamiltonian(a, basis) @ x)) <= 1e-13
 
 
@@ -1000,9 +1001,9 @@ def test_generator_check_refuses_exactly_the_dense_generator_defect(modes, photo
     e[(rng.random((modes, modes)) < 0.3) & ~np.eye(modes, dtype=bool)] = 0
     h = fock_hamiltonian(e, basis)
     defect = np.max(np.abs(h - h.conj().T))
-    evolve._sparse_generator(hermitian + e * (0.5 * HERMITIAN_TOL / defect), basis)
+    require_hermitian(hermitian + e * (0.5 * HERMITIAN_TOL / defect), photons)
     with pytest.raises(NotHermitianError):
-        evolve._sparse_generator(hermitian + e * (2 * HERMITIAN_TOL / defect), basis)
+        require_hermitian(hermitian + e * (2 * HERMITIAN_TOL / defect), photons)
 
 
 def test_splitter_series_runs_56_mat_vecs_at_dim_680(monkeypatch, operator_ii):

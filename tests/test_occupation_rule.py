@@ -123,6 +123,7 @@ _BAD_ARRAYS = {
     "huge int": [[10 ** 400, 0], [0, 1]],
     "non-finite": np.full((MODES, MODES), math.inf),
     "nan": np.full((MODES, MODES), math.nan),
+    "empty": np.zeros((0, 0)),
 }
 
 _MATRIX_ENTRY_POINTS = {

@@ -36,8 +36,10 @@ assert abs(by_generator.amplitudes - evolve_state(u, state).amplitudes).max() <=
 
 def test_cli_and_generator_run_without_scipy(tmp_path):
     src = str(Path(noonforge.__file__).resolve().parents[1])
-    result = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], capture_output=True,
-                            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    # the child keeps tier-1's warning contract: dev mode, every warning an error
+    result = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", SCRIPT,
+                             str(tmp_path)], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert result.returncode == 0, result.stderr
 
 

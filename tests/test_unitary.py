@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -15,10 +16,13 @@ from noonforge import (
     NotHermitianError,
     NotUnitaryError,
     PolarEntry,
+    QuantumState,
     ShapeError,
     SingularMatrixError,
     effective_hamiltonian,
+    enumerate_basis,
     evolve_state,
+    evolve_state_hamiltonian,
     matrix_exp,
     noon_report,
     reference,
@@ -30,7 +34,7 @@ from noonforge import (
 )
 from noonforge.cli import main
 from noonforge.unitary import (dumps_matrix, load_matrix, loads_matrix, max_unitarity_defect,
-                               require_square, require_unitary)
+                               require_hermitian, require_square, require_unitary)
 
 from oracles import haar_unitary, schur_generator
 
@@ -259,6 +263,32 @@ def test_matrix_exp_diagonal():
 def test_matrix_exp_requires_hermitian():
     with pytest.raises(NotHermitianError):
         matrix_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("entry", [
+    matrix_exp,
+    lambda a: evolve_state_hamiltonian(
+        a, QuantumState.from_occupations(enumerate_basis(2, 2), (1, 1))),
+], ids=["matrix_exp", "evolve_state_hamiltonian"])
+def test_a_hermitian_defect_that_overflows_is_refused_without_a_warning(entry):
+    # A - A^H holds 2e308, past the double range.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitianError):
+            entry(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+
+def test_the_vacuum_keeps_the_one_photon_hermitian_rule():
+    vacuum = QuantumState.from_occupations(enumerate_basis(2, 0), (0, 0))
+    with pytest.raises(NotHermitianError):
+        evolve_state_hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]), vacuum)
+    # Within HERMITIAN_TOL on one photon; its 20-photon generator, up to
+    # sqrt(11 * 10) times larger, is not.
+    a = np.array([[0.0, 1.0], [1.0 + 0.9e-10, 0.0]])
+    for photons in (0, 1):
+        require_hermitian(a, photons)
+    with pytest.raises(NotHermitianError):
+        require_hermitian(a, 20)
 
 
 def test_log_exp_roundtrip(splitter_ii):
