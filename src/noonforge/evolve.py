@@ -318,27 +318,29 @@ def fock_hamiltonian(coupling, basis: FockBasis) -> np.ndarray:
     return h
 
 
-class _Generator(NamedTuple):
+class _Generator:
     """sum_mn A[m,n] adag_m a_n on n photons, applied through the basis's ladder.
 
     adag_m a_n takes t + e_n to t + e_m, t of n-1 photons, with the factor
     sqrt(t_n+1) sqrt(t_m+1): a mat-vec gathers x at each t + e_n, scales, mixes
-    the modes by A, scales again and sums each state's m terms back, each step
-    over m contiguous rows. The tables are FockBasis.ladder's, with root made
-    complex so that no mat-vec casts it.
+    the modes by A into the generator's own products buffer (its last slot 0),
+    scales again and sums each state's m terms back into a fresh array, each
+    step over m contiguous rows. The tables are FockBasis.ladder's, with root
+    made complex so that no mat-vec casts it.
     """
 
-    coupling: np.ndarray  # A
-    raised: np.ndarray
-    root: np.ndarray
-    lowered: np.ndarray
+    __slots__ = ("coupling", "raised", "root", "lowered", "products")
+
+    def __init__(self, coupling, raised, root, lowered):
+        self.coupling, self.raised, self.root, self.lowered = coupling, raised, root, lowered
+        self.products = np.zeros(raised.size + 1, dtype=complex)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        products = np.zeros(self.raised.size + 1, dtype=complex)  # the last is the zero slot
-        mixed = products[:-1].reshape(self.raised.shape)
-        np.matmul(self.coupling, x.take(self.raised) * self.root, out=mixed)
-        mixed *= self.root
-        return products.take(self.lowered).sum(axis=0)
+        rows = x[self.raised]  # the rebinding below frees this gather before the sum back
+        rows *= self.root
+        rows = np.matmul(self.coupling, rows, out=self.products[:-1].reshape(self.raised.shape))
+        rows *= self.root
+        return self.products[self.lowered].sum(axis=0)
 
 
 def _spectral_interval(a: np.ndarray, photons: int) -> tuple[float, float]:
@@ -394,12 +396,14 @@ def _propagate(a: np.ndarray, basis: FockBasis, vector: np.ndarray) -> np.ndarra
     coeffs = np.fft.fft(np.exp(-1j * half * np.cos(angles)))[:size] / (2 * size)
     terms = int(np.flatnonzero(np.abs(coeffs) > CHEBYSHEV_CUTOFF)[-1]) + 1
     raised, root, lowered = basis.ladder
-    h = _Generator(x, raised, root.astype(complex), lowered)
-    double = h._replace(coupling=2 * x)
-    previous, current = vector, h @ vector
+    root = root.astype(complex)
+    previous, current = vector, _Generator(x, raised, root, lowered) @ vector
+    double = _Generator(2 * x, raised, root, lowered)  # the first buffer is freed by now
     total = coeffs[0] * previous + 2 * coeffs[1] * current
     for c in 2 * coeffs[2:terms]:
-        previous, current = current, double @ current - previous
+        following = double @ current
+        following -= previous
+        previous, current = current, following
         total += c * current
     return np.exp(-1j * mid) * total
 

@@ -17,15 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .errors import (
-    BranchCutError,
-    InputError,
-    MatrixFileError,
-    NotHermitianError,
-    NotUnitaryError,
-    ShapeError,
-    SingularMatrixError,
-)
+from .errors import (BranchCutError, CapacityError, InputError, MatrixFileError,
+                     NotHermitianError, NotUnitaryError, ShapeError, SingularMatrixError)
 
 UNITARY_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
@@ -220,9 +213,12 @@ def effective_hamiltonian(matrix) -> np.ndarray:
 
 
 def matrix_exp(hamiltonian) -> np.ndarray:
-    """exp(-iA) for Hermitian A, via eigendecomposition."""
+    """exp(-iA) for Hermitian A, via eigendecomposition; CapacityError for a
+    spectrum past the double range, which eigh returns as inf without a warning."""
     a = require_hermitian(hamiltonian)
     w, v = np.linalg.eigh(a)
+    if not np.all(np.isfinite(w)):
+        raise CapacityError(f"the coupling's spectrum [{w[0]:.4g}, {w[-1]:.4g}] overflows")
     return v @ np.diag(np.exp(-1j * w)) @ v.conj().T
 
 

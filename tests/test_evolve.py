@@ -915,6 +915,9 @@ def test_sparse_mat_vec_matches_the_dense_generator(modes, photons):
     raised, root, lowered = basis.ladder
     h = evolve._Generator(a, raised, root.astype(complex), lowered)
     assert np.max(np.abs(h @ x - fock_hamiltonian(a, basis) @ x)) <= 1e-13
+    first = h @ x
+    h @ _random_state(basis, rng).amplitudes  # overwrites the generator's products buffer
+    assert np.max(np.abs(first - fock_hamiltonian(a, basis) @ x)) <= 1e-13
 
 
 def test_hamiltonian_route_never_builds_the_dense_generator(monkeypatch, operator_ii):
@@ -1016,6 +1019,36 @@ def test_splitter_series_runs_56_mat_vecs_at_dim_680(monkeypatch, operator_ii):
     _, state = state_from_spec("5,3,3,3")
     evolve_state_hamiltonian(effective_hamiltonian(operator_ii), state)
     assert len(calls) == 56
+
+
+def test_hamiltonian_route_is_safe_under_threads(operator_ii):
+    # Every call shares the basis and its ladder through enumerate_basis, and owns
+    # the products buffers of its generators; concurrent calls give the serial result.
+    a = effective_hamiltonian(operator_ii)
+    _, state = state_from_spec("5,3,3,3")
+    expected = evolve_state_hamiltonian(a, state).amplitudes
+    results, errors = [], []
+
+    def propagate():
+        try:
+            results.extend(evolve_state_hamiltonian(a, state).amplitudes for _ in range(4))
+        except Exception as exc:  # a thread cannot fail the test itself; asserted below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=propagate) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 32
+    assert all(np.array_equal(got, expected) for got in results)
 
 
 def test_hamiltonian_route_refuses_excess_work_before_any_table():

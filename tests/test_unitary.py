@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from noonforge import (
     BranchCutError,
+    CapacityError,
     InputError,
     MatrixFile,
     MatrixFileError,
@@ -276,6 +277,19 @@ def test_a_hermitian_defect_that_overflows_is_refused_without_a_warning(entry):
         warnings.simplefilter("error")
         with pytest.raises(NotHermitianError):
             entry(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+
+@pytest.mark.parametrize("entry", [
+    matrix_exp,
+    lambda a: evolve_state_hamiltonian(
+        a, QuantumState.from_occupations(enumerate_basis(3, 1), (1, 0, 0))),
+], ids=["matrix_exp", "evolve_state_hamiltonian"])
+def test_a_spectrum_that_overflows_is_refused_without_a_warning(entry):
+    # Hermitian with finite entries, but its largest eigenvalue, 3e308, is not finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CapacityError):
+            entry(np.full((3, 3), 1e308))
 
 
 def test_the_vacuum_keeps_the_one_photon_hermitian_rule():
