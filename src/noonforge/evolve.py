@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError, ShapeError
 from .fock import (CACHE_BYTES, BoundedCache, FockBasis, FockState, QuantumState, _whole,
-                   amplitude_rows, rank_descending, state_to_spec)
+                   amplitude_lines, amplitude_rows, rank_descending, state_to_spec)
 from .unitary import as_complex, require_hermitian, require_square, require_unitary
 
 PERMANENT_CAP = 16
@@ -231,10 +231,8 @@ class TransitionTable(QuantumState):
     input: QuantumState
 
     def sorted_components(self):
-        """(occupations, amplitude) pairs sorted by descending magnitude.
-
-        Ties (within fock.NEGLIGIBLE_AMPLITUDE) keep basis order: the listing is deterministic.
-        """
+        """(occupations, amplitude) pairs by descending magnitude; ties (within
+        fock.NEGLIGIBLE_AMPLITUDE) keep basis order, so the listing is deterministic."""
         pairs = [(occ, complex(a)) for occ, a in zip(self.basis.states, self.amplitudes)]
         return rank_descending(pairs, np.abs(self.amplitudes))
 
@@ -246,6 +244,11 @@ class TransitionTable(QuantumState):
             "input": state_to_spec(self.input),
             "amplitudes": amplitude_rows(self.basis.labels, self.amplitudes),
         }
+
+    def to_text(self) -> str:
+        """Text listing of every component by descending magnitude (fock.amplitude_lines)."""
+        return ("output components (descending magnitude):\n"
+                + amplitude_lines(self.sorted_components()))
 
 
 def _require_normalized_on(state: QuantumState, modes: int) -> None:

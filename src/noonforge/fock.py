@@ -344,16 +344,21 @@ def phases_deg(amplitudes, magnitudes) -> np.ndarray:
     return degrees
 
 
-def printed_phases(amplitudes, magnitudes, places: int) -> list[float]:
-    """phases_deg as printed to `places` decimals: a phase that rounds to -180 there
-    prints as 180, the same phase, so no printout shows -180."""
-    degrees = phases_deg(amplitudes, magnitudes)
+def printed_degrees(degrees, places: int) -> list[float]:
+    """Angles in degrees as printed to `places` decimals: one that rounds to -180 there
+    prints as 180, the same angle, so no printed phase or shifter setting shows -180."""
+    degrees = np.asarray(degrees, dtype=float)
     printed = degrees.tolist()
-    # round(x, places) rounds as the printed text does; no phase above -179 can reach -180
+    # round(x, places) rounds as the printed text does; no angle above -179 can reach -180
     for i in np.flatnonzero(degrees < -179).tolist():
         if round(printed[i], places) == -180:
             printed[i] = 180.0
     return printed
+
+
+def printed_phases(amplitudes, magnitudes, places: int) -> list[float]:
+    """phases_deg as printed to `places` decimals, through printed_degrees."""
+    return printed_degrees(phases_deg(amplitudes, magnitudes), places)
 
 
 def amplitude_rows(labels, amplitudes) -> list[dict]:
@@ -365,6 +370,14 @@ def amplitude_rows(labels, amplitudes) -> list[dict]:
     return [{"state": label, "mag": mag, "phase_deg": phase}
             for label, mag, phase in zip(labels, serialize.fixed_column(magnitudes, 6),
                                          serialize.fixed_column(phases, 6))]
+
+
+def amplitude_lines(components) -> str:
+    """Text rows for (occupations, amplitude) pairs: |a| to 4 decimals, phase in whole degrees."""
+    magnitudes = [abs(amp) for _, amp in components]
+    degrees = printed_phases([amp for _, amp in components], magnitudes, 0)
+    return "".join(f"  {mag:.4f} @ {round(deg):+4d} deg  |{format_occupations(occ)}>\n"
+                   for (occ, _), mag, deg in zip(components, magnitudes, degrees))
 
 
 def rank_descending(items, scores) -> list:

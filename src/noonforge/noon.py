@@ -10,7 +10,8 @@ sweep_inputs scores every input at once, noon_report and extract_noon one row.
 noon_report has evolve's one loop over a state's terms sum only the K bunched
 output amplitudes; each sweep input is a single ket, so sweep_inputs calls
 transition_amplitude once per bunched output. Any other post-selection reads
-an evolved table through post_select.
+an evolved table through post_select. NoonReport and PostSelection print
+themselves; a printed shifter setting lies in (-180, 180] (fock.printed_degrees).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +28,8 @@ from .errors import ShapeError, SpecError, ZeroProbabilityError
 from .evolve import (TransitionTable, _output_amplitudes, require_evolvable,
                      require_permanent_size, transition_amplitude)
 from .fock import (NEGLIGIBLE_AMPLITUDE, FockBasis, FockState, QuantumState, _whole,
-                   amplitude_rows, enumerate_basis, format_occupations, phases_deg,
-                   rank_descending)
+                   amplitude_lines, amplitude_rows, enumerate_basis, format_occupations,
+                   phases_deg, printed_degrees, rank_descending)
 from .unitary import require_unitary
 
 
@@ -57,9 +59,42 @@ class NoonReport:
                                        _noon_states(self.photons, self.modes)),
                                    self.raw_amplitudes),
                     serialize.fixed_column(self.normalized_amplitudes, 4),
-                    serialize.fixed_column(self.optimal_phases_deg, 2))
+                    serialize.fixed_column(printed_degrees(self.optimal_phases_deg, 2), 2))
             ],
         }
+
+    def to_text(self) -> str:
+        """Text report: one line per bunched component, its shifter in whole degrees."""
+        rows = zip(_noon_states(self.photons, self.modes), self.raw_amplitudes,
+                   self.normalized_amplitudes, printed_degrees(self.optimal_phases_deg, 0))
+        return (f"photons: {self.photons}   modes: {self.modes}\n"
+                f"success probability: {self.success_probability:.4f}\n"
+                f"fidelity           : {self.fidelity:.4f}\n"
+                "bunched components:\n"
+                + "".join(f"  |{format_occupations(occ)}>  mag {abs(c):.4f}  "
+                          f"normalized {m:.4f}  shifter {round(shifter):+5d} deg\n"
+                          for occ, c, m, shifter in rows))
+
+
+class PostSelection(NamedTuple):
+    """The renormalized post-selected state and the probability weight it kept."""
+
+    state: QuantumState
+    probability: float
+
+    def to_payload(self) -> dict:
+        components = self.state.terms(NEGLIGIBLE_AMPLITUDE)
+        return {
+            "probability": serialize.fixed(self.probability, 4),
+            "components": amplitude_rows([format_occupations(occ) for occ, _ in components],
+                                         [amp for _, amp in components]),
+        }
+
+    def to_text(self) -> str:
+        """Text report: the kept probability and the non-negligible components."""
+        return (f"post-selected probability: {self.probability:.4f}\n"
+                "renormalized components:\n"
+                + amplitude_lines(self.state.terms(NEGLIGIBLE_AMPLITUDE)))
 
 
 @functools.cache
@@ -119,14 +154,15 @@ def extract_noon(table: TransitionTable) -> NoonReport:
     return _single_report(raw, table.basis.photons)
 
 
-def post_select(table: QuantumState, kept) -> tuple[QuantumState, float]:
+def post_select(table: QuantumState, kept) -> PostSelection:
     """Project a table onto the kept states and renormalize.
 
-    Returns the renormalized state (canonical global phase) and the kept
-    probability weight. Only the kept amplitudes of `table` are read, and each
-    distinct kept state is ranked once. ShapeError unless `kept` is a sequence of
-    whole states (fock._whole); SpecError if it holds none or one is not in the
-    table's basis; ZeroProbabilityError if the kept weight is negligible.
+    Returns a PostSelection: the renormalized state (canonical global phase)
+    and the kept probability weight. Only the kept amplitudes of `table` are
+    read, and each distinct kept state is ranked once. ShapeError unless
+    `kept` is a sequence of whole states (fock._whole); SpecError if it holds
+    none or one is not in the table's basis; ZeroProbabilityError if the kept
+    weight is negligible.
     """
     if not np.iterable(kept):
         raise ShapeError(f"kept states must be a sequence of occupations, got {kept!r}")
@@ -144,7 +180,8 @@ def post_select(table: QuantumState, kept) -> tuple[QuantumState, float]:
         raise ZeroProbabilityError("post-selection kept zero probability")
     amps = np.zeros(len(basis), dtype=complex)
     amps[indices] = amplitudes
-    return QuantumState(basis, amps / math.sqrt(probability)).canonical(), probability
+    return PostSelection(QuantumState(basis, amps / math.sqrt(probability)).canonical(),
+                         probability)
 
 
 def sweep_inputs(matrix, total_photons: int) -> list[tuple[FockState, NoonReport]]:

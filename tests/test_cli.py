@@ -288,6 +288,22 @@ def test_text_listing_prints_a_phase_that_rounds_to_minus_180_as_180(run, identi
     assert "-180" not in output
 
 
+@pytest.mark.parametrize("single", ["0,1,0,0", "0,0,1,0", "0,0,0,1"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_noon_prints_a_shifter_of_minus_180_as_180(run, fourier4, json_flag, single):
+    # one photon through F: a bunched amplitude of phase 180 needs the shifter -180 / 1,
+    # which prints as the same setting, 180
+    code, output = run("noon", *json_flag, "--matrix", fourier4, "--input", single)
+    assert code == 0
+    assert "-180" not in output
+    if json_flag:
+        shifters = [c["optimal_phase_deg"] for c in serialize.loads(output)["components"]]
+        assert all(-180 < s <= 180 for s in shifters)
+        assert "180.00" in map(str, shifters)
+    else:
+        assert re.search(r"  shifter  \+180 deg\n", output)
+
+
 def test_evolve_wrong_mode_count(run):
     code, _ = run("evolve", "--matrix", SPLITTER_II_PATH, "--input", "0,0,1")
     assert code == 2

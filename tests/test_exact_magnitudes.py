@@ -14,8 +14,6 @@ real-axis rule prints as 0 or 180 is skipped and counted. A row within TIE
 that no double route can be held to: it is printed by name and not failed.
 """
 
-import contextlib
-import io
 import math
 import re
 from collections import Counter
@@ -26,8 +24,7 @@ import numpy as np
 import pytest
 
 from noonforge import QuantumState, enumerate_basis, evolve_state, reference
-from noonforge.cli import _print_amplitude_rows
-from noonforge.fock import NEGLIGIBLE_AMPLITUDE, amplitude_rows
+from noonforge.fock import NEGLIGIBLE_AMPLITUDE, amplitude_lines, amplitude_rows
 
 from oracles import (exact_coefficients, exact_squared_magnitudes, fourier_unitary, haar_unitary,
                      sine_past)
@@ -89,11 +86,8 @@ def _misrounded(u, state, counts: Counter) -> list:
         if _phase_misrounded("phase_deg", row["state"], row["phase_deg"], coefficients[i],
                              amplitudes[i], counts):
             wrong.append(("phase_deg", row["state"], row["phase_deg"], coefficients[i]))
-    listing = io.StringIO()
-    with contextlib.redirect_stdout(listing):
-        _print_amplitude_rows(table.sorted_components())
     position = {label: i for i, label in enumerate(table.basis.labels)}
-    lines = listing.getvalue().splitlines()
+    lines = amplitude_lines(table.sorted_components()).splitlines()
     assert len(lines) == len(rows)
     for line in lines:
         mag, deg, label = _LISTING_ROW.fullmatch(line).groups()

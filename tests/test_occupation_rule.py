@@ -8,6 +8,7 @@ family. `in` and `index_of` are queries with dict semantics and are pinned in
 test_fock.py instead.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noonforge import (FockBasis, InputError, NoonforgeError, QuantumState, ShapeError,
+from noonforge import (FockBasis, InputError, NoonforgeError, NoonReport, QuantumState, ShapeError,
                        effective_hamiltonian, enumerate_basis, evolution_operator,
                        evolve_state, evolve_state_hamiltonian, fock_hamiltonian, matrix_exp,
                        noon_report, permanent, post_select, sweep_inputs,
@@ -126,6 +127,15 @@ _BAD_ARRAYS = {
     "empty": np.zeros((0, 0)),
 }
 
+# Finite matrices far from unit scale: a seeded Haar unitary and its Hermitian part,
+# each scaled toward the ends of the double range.
+_HAAR = haar_unitary(MODES, np.random.default_rng(0))
+_SCALED_ARRAYS = {
+    f"{name} x {scale:g}": matrix * scale
+    for name, matrix in (("haar", _HAAR), ("hermitian", (_HAAR + _HAAR.conj().T) / 2))
+    for scale in (1e80, 1e155, 1e200, 1e300, 1e-160, 1e-310)
+}
+
 _MATRIX_ENTRY_POINTS = {
     "evolve_state": lambda m: evolve_state(m, STATE),
     "evolve_state_hamiltonian": lambda m: evolve_state_hamiltonian(m, STATE),
@@ -164,6 +174,41 @@ def test_a_bad_array_returns_or_raises_a_package_error(entry, bad):
             entry(bad)
         except NoonforgeError:
             pass
+
+
+def _finite(result) -> bool:
+    """Whether every number a result holds is finite: the amplitudes of a state, the
+    fields of a report, the items of a tuple or list."""
+    if isinstance(result, QuantumState):
+        result = result.amplitudes
+    elif isinstance(result, NoonReport):
+        result = dataclasses.astuple(result)
+    if isinstance(result, (tuple, list)):
+        return all(map(_finite, result))
+    return bool(np.all(np.isfinite(result)))
+
+
+# The Glynn sums of permanent and transition_amplitude multiply entries past the
+# double range, and numpy warns on the overflow instead of a package error.
+_OVERFLOWS = pytest.mark.xfail(
+    strict=True, raises=RuntimeWarning,
+    reason="the permanent's product overflows the double range with a numpy warning")
+_OVERFLOWING = {(name, f"{kind} x {scale:g}") for name in ("permanent", "transition_amplitude")
+                for kind in ("haar", "hermitian") for scale in (1e155, 1e200, 1e300)}
+
+
+@pytest.mark.parametrize("entry,scaled", [
+    pytest.param(entry, scaled, id=f"{name}-{kind}",
+                 marks=[_OVERFLOWS] * ((name, kind) in _OVERFLOWING))
+    for name, entry in _MATRIX_ENTRY_POINTS.items() for kind, scaled in _SCALED_ARRAYS.items()])
+def test_a_finite_array_gives_a_finite_result_or_a_package_error(entry, scaled):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = entry(scaled)
+        except NoonforgeError:
+            return
+    assert _finite(result)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])

@@ -19,12 +19,19 @@ splitter = str(reference.data_path("splitter_ii.json"))
 projected = sys.argv[1] + "/u.json"
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["reproduce", "--json"],
+                 ["reproduce"],
                  ["unitarize", "--matrix", splitter, "--out", projected],
+                 ["unitarize", "--json", "--matrix", splitter, "--out", projected],
                  ["evolve", "--json", "--matrix", projected, "--input", "1,1,1,1"],
+                 ["evolve", "--matrix", projected, "--input", "1,1,1,1"],
                  ["noon", "--matrix", splitter, "--input", "1,1,1,1"],
+                 ["noon", "--json", "--matrix", splitter, "--input", "1,1,1,1"],
                  ["noon", "--matrix", splitter, "--input", "0,0,1,1",
                   "--select", "1,1,0,0;0,0,1,1"],
-                 ["sweep", "--json", "--matrix", splitter, "--photons", "4"]):
+                 ["noon", "--json", "--matrix", splitter, "--input", "0,0,1,1",
+                  "--select", "1,1,0,0;0,0,1,1"],
+                 ["sweep", "--json", "--matrix", splitter, "--photons", "4"],
+                 ["sweep", "--matrix", splitter, "--photons", "4"]):
         assert noonforge.cli.main(argv) == 0, argv
 
 u = evolution_operator(unitarize(reference.bundled_matrix(reference.SPLITTER_II).to_array()))
